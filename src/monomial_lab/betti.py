@@ -3,20 +3,34 @@ and the derived invariants: regularity and projective dimension.
 
 For the quotient S/I and a vertex subset sigma, the fine-graded Betti
 number at homological index i equals dim H~_{|sigma|-i-1} of the complex of
-squarefree monomials outside I restricted to sigma; the ideal's table is
-the same data shifted by one homological step.  Only "saturated" subsets
-(every vertex covered by a generator inside the subset) can contribute:
-any uncovered vertex is a cone point and kills the homology.
+squarefree monomials outside I restricted to sigma (Hochster's formula);
+the ideal's table is the same data shifted by one homological step.  Only
+"saturated" subsets (every vertex covered by a generator inside the
+subset, i.e. the lcm-lattice elements) can contribute: any uncovered
+vertex is a cone point and kills the homology.
 
-Over the rationals the row invariants (regularity, projective dimension)
-avoid exact elimination wherever a GF(2) computation certifies vanishing;
-candidate contributions are confirmed exactly in decreasing order of the
-quantity being maximized, so the returned value is exact.
+Every table walk goes through one driver, `_profiles`: it visits the
+saturated sigma in descending-submask order, relabels each one's
+generators onto 0..|sigma|-1 without re-sorting, and reads its homology
+profile.  Regularity, projective dimension and the N_k criterion maximize
+over the table (`_scan_max`) and prune the walk on the size of sigma
+alone, before its restricted generators are listed.  The ideal's index-0
+Betti numbers sit exactly on the generators, at the rows of their
+degrees, where the scan starts; any other saturated sigma has ideal index
+i >= 1, so it lies on row |sigma| - i <= |sigma| - 1 and at quotient index
+i + 1 <= |sigma|.  Hence regularity skips sigma with |sigma| - 1 <= the
+best row so far, and projective dimension skips |sigma| <= the best index.
+Over GF(p) the best value rises as exact answers arrive.  Over Q it stays
+at the established value: a nonzero GF(2) dimension is only a candidate,
+while a zero one certifies vanishing over Q, and candidates are confirmed
+exactly in decreasing order of the quantity maximized, so the result is
+exact.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .complexes import (
@@ -26,46 +40,84 @@ from .complexes import (
     exact_rational_hq,
     homology_profile,
     _f2_counts_ranks,
+    _remap,
 )
 from .core import Ideal, InputError, canon_key, mask_to_vars
 
 
-def _saturated_sigmas(gen_masks: tuple[int, ...], supp: int):
-    """Yield (sigma, restricted generators) for every sigma whose vertices
-    are all covered by generators supported inside sigma (includes sigma=0)."""
+def _saturated_sigmas(gen_masks, supp: int, min_size: int = 0):
+    """Yield (sigma, restricted generators) for every sigma of at least
+    min_size vertices whose vertices are all covered by generators supported
+    inside sigma (sigma = 0 included when min_size is 0).  Smaller subsets
+    are rejected on their size alone; the restricted generators keep the
+    order of gen_masks."""
     sigma = supp
     while True:
-        restricted = [g for g in gen_masks if g & ~sigma == 0]
-        union = 0
-        for g in restricted:
-            union |= g
-        if union == sigma:
-            yield sigma, restricted
+        if sigma.bit_count() >= min_size:
+            restricted = [g for g in gen_masks if g & ~sigma == 0]
+            union = 0
+            for g in restricted:
+                union |= g
+            if union == sigma:
+                yield sigma, restricted
         if sigma == 0:
             return
         sigma = (sigma - 1) & supp
 
 
-def _remap(sigma: int, gens) -> tuple[int, tuple[int, ...]]:
-    """Relabel sigma's vertices as bits 0..m-1 (order-preserving)."""
-    pos: dict[int, int] = {}
-    i = 0
-    rem = sigma
-    while rem:
-        low = rem & -rem
-        rem ^= low
-        pos[low] = 1 << i
-        i += 1
-    local = []
+def _profiles(gens, supp: int, field: FieldSpec, floor=(0,)):
+    """The one Betti scan: yield (sigma, m, local generators, homology
+    profile over field) for every saturated sigma of at least floor[0]
+    vertices, in walk order.  `gens` must be in canonical order: then the
+    relabelled generators come out canonical without a sort, so equal local
+    complexes share one homology cache entry.  floor[0] is read again for
+    every sigma, so a caller may raise it mid-walk."""
+    for sigma, restricted in _saturated_sigmas(gens, supp, floor[0]):
+        if sigma.bit_count() >= floor[0]:
+            m, local = _remap(sigma, restricted)
+            yield sigma, m, local, homology_profile(m, local, field)
+
+
+def _scan_max(gens, field: FieldSpec, best: int, value) -> int:
+    """Largest value(m, idx) over the nonzero Betti slots of S/I, or `best`
+    when none exceeds it; `gens` may come in any order.
+
+    A slot is a saturated sigma, m = |sigma|, and a profile index idx <= m - 2
+    (dim H~_{idx-1}, quotient index m - idx >= 2); `value` scores it, 0 for a
+    slot that does not count, and its maximum over idx must not fall as m
+    grows.  Over GF(p) best rises with each exact value.  Over Q it stays:
+    GF(2) hits are candidates, confirmed highest value first, cheapest
+    complex first.
+    """
+    gens = sorted(gens, key=canon_key)
+    supp = 0
     for g in gens:
-        lg = 0
-        r = g
-        while r:
-            low = r & -r
-            r ^= low
-            lg |= pos[low]
-        local.append(lg)
-    return i, tuple(sorted(local, key=canon_key))
+        supp |= g
+    ceiling = [max([value(m, idx) for idx in range(m - 1)], default=0)
+               for m in range(supp.bit_count() + 1)]
+    if ceiling[-1] <= best:
+        return best
+    exact = field.p is not None
+    floor = [bisect_right(ceiling, best)]  # the smallest sigma that can beat best
+    candidates = []
+    for _sigma, m, local, prof in _profiles(gens, supp, field if exact else GF2, floor):
+        for idx in range(m - 1):
+            v = value(m, idx) if prof[idx] else 0
+            if v <= best:
+                continue
+            if not exact:
+                counts, _ = _f2_counts_ranks(m, local)
+                candidates.append((v, sum(counts), m, local, idx - 1))
+                continue
+            best = v
+            if best >= ceiling[-1]:
+                return best
+            floor[0] = bisect_right(ceiling, best)
+    candidates.sort(key=lambda c: (-c[0], c[1]))
+    for v, _cost, m, local, q in candidates:
+        if exact_rational_hq(m, local, q):
+            return v
+    return best
 
 
 @dataclass
@@ -129,14 +181,10 @@ class BettiTable:
 
 def _quotient_fine_entries(I: Ideal, field: FieldSpec):
     """Yield (i, sigma, rank) for every nonzero fine Betti number of S/I."""
-    supp = I.supp_mask
-    for sigma, restricted in _saturated_sigmas(I.gen_masks, supp):
-        m, local = _remap(sigma, restricted)
-        prof = homology_profile(m, local, field)
+    for sigma, m, _local, prof in _profiles(I.gen_masks, I.supp_mask, field):
         for idx, h in enumerate(prof):
             if h:
-                q = idx - 1
-                yield m - q - 1, sigma, h
+                yield m - idx, sigma, h  # H~_{idx-1} sits at quotient index m - idx
 
 
 def betti_table(
@@ -169,33 +217,9 @@ def betti_table(
 
 def regularity_masks(gens: tuple[int, ...], field: FieldSpec = RATIONALS) -> int:
     """Mask-level regularity; `gens` must be a nonempty minimal generating
-    set (antichain of bitmasks)."""
-    supp = 0
-    for g in gens:
-        supp |= g
-    established = max(g.bit_count() for g in gens)  # row 0 sits at the generator degrees
-    if field.p is not None:
-        best = established
-        for sigma, restricted in _saturated_sigmas(gens, supp):
-            m, local = _remap(sigma, restricted)
-            prof = homology_profile(m, local, field)
-            for idx in range(0, m):
-                if prof[idx] and idx + 1 > best:
-                    best = idx + 1
-        return best
-    candidates = []
-    for sigma, restricted in _saturated_sigmas(gens, supp):
-        m, local = _remap(sigma, restricted)
-        prof2 = homology_profile(m, local, GF2)
-        for idx in range(0, m):  # idx = q + 1 <= m - 1 keeps the ideal index >= 0
-            if prof2[idx] and idx + 1 > established:
-                counts, _ = _f2_counts_ranks(m, local)
-                candidates.append((idx + 1, sum(counts), m, local, idx - 1))
-    candidates.sort(key=lambda c: (-c[0], c[1]))
-    for offset, _cost, m, local, q in candidates:
-        if exact_rational_hq(m, local, q):
-            return offset
-    return established
+    set (antichain of bitmasks), in any order."""
+    # row 0 sits at the generator degrees; a slot of H~_{idx-1} lies on row idx + 1
+    return _scan_max(gens, field, max(g.bit_count() for g in gens), lambda m, idx: idx + 1)
 
 
 def regularity(I: Ideal, field: FieldSpec = RATIONALS) -> int:
@@ -206,34 +230,9 @@ def regularity(I: Ideal, field: FieldSpec = RATIONALS) -> int:
 
 
 def projective_dimension_masks(gens: tuple[int, ...], field: FieldSpec = RATIONALS) -> int:
-    supp = 0
-    for g in gens:
-        supp |= g
-    established = 1  # the generators of I are first syzygies of S/I
-    if field.p is not None:
-        best = established
-        for sigma, restricted in _saturated_sigmas(gens, supp):
-            m, local = _remap(sigma, restricted)
-            prof = homology_profile(m, local, field)
-            for idx in range(0, m):
-                i = m - idx  # quotient index at q = idx - 1
-                if prof[idx] and i > best:
-                    best = i
-        return best
-    candidates = []
-    for sigma, restricted in _saturated_sigmas(gens, supp):
-        m, local = _remap(sigma, restricted)
-        prof2 = homology_profile(m, local, GF2)
-        for idx in range(0, m):
-            i = m - idx
-            if prof2[idx] and i > established:
-                counts, _ = _f2_counts_ranks(m, local)
-                candidates.append((i, sum(counts), m, local, idx - 1))
-    candidates.sort(key=lambda c: (-c[0], c[1]))
-    for i, _cost, m, local, q in candidates:
-        if exact_rational_hq(m, local, q):
-            return i
-    return established
+    # the generators of I are first syzygies of S/I; a slot of H~_{idx-1}
+    # lies at quotient index m - idx
+    return _scan_max(gens, field, 1, lambda m, idx: m - idx)
 
 
 def projective_dimension(I: Ideal, field: FieldSpec = RATIONALS) -> int:

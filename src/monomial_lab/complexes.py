@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CapacityError, InputError, Ideal, canon_key, mask_to_vars, _vars_to_mask
+from .core import (CapacityError, InputError, InternalCheckError, Ideal, canon_key,
+                   mask_to_vars, _vars_to_mask)
 from .exact_rank import rank_bareiss, rank_f2_columns, rank_mod_p
 from .transversals import minimal_transversals
 
@@ -133,6 +134,28 @@ def restrict_complex(C: SimplicialComplex, sigma) -> SimplicialComplex:
     if C.is_void:
         return C
     return SimplicialComplex(C.ambient, tuple(f & smask for f in C.facets))
+
+
+def _remap(sigma: int, masks) -> tuple[int, tuple[int, ...]]:
+    """Relabel the vertices of sigma as bits 0..m-1, keeping their order,
+    and return (m, the masks relabelled).  Every mask must lie inside sigma.
+    The relabelling is monotone on masks, so masks listed in canonical order
+    come out in canonical order."""
+    pos: dict[int, int] = {}
+    rem = sigma
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        pos[low] = 1 << len(pos)
+    local = []
+    for g in masks:
+        lg = 0
+        while g:
+            low = g & -g
+            g ^= low
+            lg |= pos[low]
+        local.append(lg)
+    return len(pos), tuple(local)
 
 
 # --- face bitmaps ------------------------------------------------------------
@@ -271,10 +294,11 @@ def _profile_from(counts, ranks, m: int) -> tuple[int, ...]:
     for s, c in enumerate(counts):
         nxt = ranks[s + 1] if s + 1 < len(ranks) else 0
         h[s] = c - ranks[s] - nxt
-    if __debug__ and counts:
-        euler_faces = sum(c if s % 2 else -c for s, c in enumerate(counts))
-        euler_hom = sum(v if s % 2 else -v for s, v in enumerate(h))
-        assert euler_faces == euler_hom, "Euler characteristic mismatch"
+    euler_faces = sum(c if s % 2 else -c for s, c in enumerate(counts))
+    euler_hom = sum(v if s % 2 else -v for s, v in enumerate(h))
+    if euler_faces != euler_hom:
+        raise InternalCheckError(
+            f"Euler characteristic mismatch: faces {euler_faces}, homology {euler_hom}")
     return tuple(h)
 
 
@@ -306,7 +330,8 @@ def exact_rational_hq(m: int, nonfaces: tuple[int, ...], q: int) -> int:
     if counts[s] - f2_ranks[s] - nxt == 0:
         return 0
     h = counts[s] - _exact_rank_q(m, nonfaces, s) - _exact_rank_q(m, nonfaces, s + 1)
-    assert h >= 0
+    if h < 0:
+        raise InternalCheckError(f"negative homology dimension {h} at q={q}")
     return h
 
 
@@ -328,13 +353,7 @@ def homology_profile(m: int, nonfaces: tuple[int, ...], field: FieldSpec) -> tup
             ranks[s] = rank_mod_p(_boundary_rows_signed(groups[s - 1], groups[s]), field.p)
         prof = _profile_from(counts, tuple(ranks), m)
     else:
-        counts, f2_ranks = _f2_counts_ranks(m, nonfaces)
-        h = [0] * (m + 1)
-        for s, c in enumerate(counts):
-            nxt = f2_ranks[s + 1] if s + 1 < len(f2_ranks) else 0
-            if c - f2_ranks[s] - nxt:
-                h[s] = exact_rational_hq(m, nonfaces, s - 1)
-        prof = tuple(h)
+        prof = tuple(exact_rational_hq(m, nonfaces, q) for q in range(-1, m))
     _PROFILES[key] = prof
     return prof
 
@@ -346,24 +365,6 @@ def clear_caches() -> None:
     _QRANKS.clear()
 
 
-def _compress_facets(C: SimplicialComplex) -> tuple[int, tuple[int, ...]]:
-    verts = 0
-    for f in C.facets:
-        verts |= f
-    positions = mask_to_vars(verts)
-    table = {v - 1: i for i, v in enumerate(positions)}
-    local = []
-    for f in C.facets:
-        lf = 0
-        rem = f
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            lf |= 1 << table[low.bit_length() - 1]
-        local.append(lf)
-    return len(positions), tuple(local)
-
-
 def reduced_homology_dims(C: SimplicialComplex, field: FieldSpec = RATIONALS) -> dict[int, int]:
     """Exact reduced homology dimensions, as {dimension p: dim H~_p}.
 
@@ -372,7 +373,10 @@ def reduced_homology_dims(C: SimplicialComplex, field: FieldSpec = RATIONALS) ->
     """
     if C.is_void:
         return {}
-    m, local_facets = _compress_facets(C)
+    verts = 0
+    for f in C.facets:
+        verts |= f
+    m, local_facets = _remap(verts, C.facets)
     bitmap = _face_bitmap_from_facets(m, local_facets)
     # minimal non-faces: masks outside the bitmap all of whose maximal
     # proper subsets are faces

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import _remap, _saturated_sigmas
-from .complexes import GF2, RATIONALS, FieldSpec, exact_rational_hq, homology_profile
+from .betti import _scan_max
+from .complexes import RATIONALS, FieldSpec
 from .core import (
     Ideal,
     InputError,
@@ -172,21 +172,14 @@ def is_N2_graph(I: Ideal):
 
 
 def nk_betti_masks(gens: tuple[int, ...], d: int, k: int, field: FieldSpec) -> bool:
-    supp = 0
-    for g in gens:
-        supp |= g
-    for sigma, restricted in _saturated_sigmas(gens, supp):
-        m, local = _remap(sigma, restricted)
-        for i in range(0, min(k, m)):
-            if m == i + d:
-                continue  # linear strand entry, allowed
-            idx = m - i - 1  # profile slot of H~_{m-i-2}
-            if field.p is None:
-                if homology_profile(m, local, GF2)[idx] and exact_rational_hq(m, local, idx - 1):
-                    return False
-            elif homology_profile(m, local, field)[idx]:
-                return False
-    return True
+    """Betti criterion on generator bitmasks, all of degree d: no Betti
+    number at ideal index i < k off the linear degree i + d."""
+    # the slot of H~_{idx-1} on sigma has ideal index m - idx - 1 and row
+    # idx + 1 >= d; capping the row at d + 1 ends a GF(p) scan at the first hit
+    def row(m, idx):
+        return min(idx + 1, d + 1) if m - idx <= k else 0
+
+    return _scan_max(gens, field, d, row) == d
 
 
 def is_Nk_betti(I: Ideal, k: int, field: FieldSpec = RATIONALS) -> bool:

@@ -198,3 +198,90 @@ def random_gens(rng: random.Random, n: int, count: int, dmin: int = 1, dmax: int
     dmax = dmax if dmax is not None else n
     picks = [random_mask(rng, n, rng.randint(dmin, dmax)) for _ in range(count)]
     return minimalize(picks)
+
+
+# --- the unpruned Betti scans -------------------------------------------------
+#
+# The package's scans as they were before the pruned driver: every saturated
+# vertex subset is visited, relabelled and re-sorted.  They share the
+# package's homology engine, so they check the pruning, the relabelling and
+# the GF(2)->Q candidate logic of the driver, not the homology.
+
+
+def unpruned_local_complexes(gens):
+    """(m, canonically sorted local generators) for every saturated sigma,
+    in the package's walk order (descending submasks of the support)."""
+    supp = 0
+    for g in gens:
+        supp |= g
+    out = []
+    sigma = supp
+    while True:
+        restricted = [g for g in gens if g & ~sigma == 0]
+        union = 0
+        for g in restricted:
+            union |= g
+        if union == sigma:
+            bits = [b for b in range(sigma.bit_length()) if sigma >> b & 1]
+            local = []
+            for g in restricted:
+                lg = 0
+                for i, b in enumerate(bits):
+                    if g >> b & 1:
+                        lg |= 1 << i
+                local.append(lg)
+            out.append((len(bits), tuple(sorted(local, key=lambda x: (popcount(x), x)))))
+        if sigma == 0:
+            return out
+        sigma = (sigma - 1) & supp
+
+
+def _unpruned_max(gens, field, established, value, slots):
+    from monomial_lab.complexes import GF2, _f2_counts_ranks, exact_rational_hq, homology_profile
+
+    if field.p is not None:
+        best = established
+        for m, local in unpruned_local_complexes(gens):
+            prof = homology_profile(m, local, field)
+            for idx in slots(m):
+                if prof[idx] and value(m, idx) > best:
+                    best = value(m, idx)
+        return best
+    candidates = []
+    for m, local in unpruned_local_complexes(gens):
+        prof2 = homology_profile(m, local, GF2)
+        for idx in slots(m):
+            if prof2[idx] and value(m, idx) > established:
+                counts, _ = _f2_counts_ranks(m, local)
+                candidates.append((value(m, idx), sum(counts), m, local, idx - 1))
+    candidates.sort(key=lambda c: (-c[0], c[1]))
+    for v, _cost, m, local, q in candidates:
+        if exact_rational_hq(m, local, q):
+            return v
+    return established
+
+
+def unpruned_regularity(gens, field):
+    return _unpruned_max(gens, field, max(popcount(g) for g in gens),
+                         lambda m, idx: idx + 1, lambda m: range(m))
+
+
+def unpruned_projective_dimension(gens, field):
+    return _unpruned_max(gens, field, 1, lambda m, idx: m - idx, lambda m: range(m))
+
+
+def unpruned_nk_betti(gens, d, k, field):
+    """False at the first nonzero slot at ideal index i < k off degree i + d."""
+    from monomial_lab.complexes import GF2, exact_rational_hq, homology_profile
+
+    for m, local in unpruned_local_complexes(gens):
+        for i in range(min(k, m)):
+            if m == i + d:
+                continue
+            idx = m - i - 1
+            if field.p is None:
+                if homology_profile(m, local, GF2)[idx] and exact_rational_hq(m, local, idx - 1):
+                    return False
+            elif homology_profile(m, local, field)[idx]:
+                return False
+    return True

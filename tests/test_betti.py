@@ -5,13 +5,30 @@ import math
 import random
 
 import pytest
-from oracles import oracle_quotient_betti, random_gens, taylor_counts
+from oracles import (
+    minimalize,
+    oracle_quotient_betti,
+    random_gens,
+    random_mask,
+    taylor_counts,
+    unpruned_nk_betti,
+    unpruned_projective_dimension,
+    unpruned_regularity,
+)
 
-from monomial_lab.betti import betti_table, projective_dimension, regularity
+from monomial_lab.betti import (
+    betti_table,
+    projective_dimension,
+    projective_dimension_masks,
+    regularity,
+    regularity_masks,
+)
+from monomial_lab import complexes
 from monomial_lab.complexes import GF2, RATIONALS, FieldSpec
-from monomial_lab.core import Ideal, InputError, Monomial, minimal_generators
+from monomial_lab.core import Ideal, InputError, Monomial, canon_key, minimal_generators
 from monomial_lab.duality import height_profile
 from monomial_lab.harness import remark_example
+from monomial_lab.linearity import is_Nk_betti, nk_betti_masks
 
 
 def ideal(n, *var_tuples):
@@ -109,6 +126,63 @@ class TestBettiTable:
             {"i": 0, "j": 2, "rank": 2},
             {"i": 1, "j": 4, "rank": 1},
         ]
+
+
+FIELDS = ((RATIONALS, None), (GF2, 2), (FieldSpec(32003), 32003))
+
+
+class TestPrunedScan:
+    """The pruned scan against the Hochster oracle and against the unpruned
+    scans it replaced, with generators handed over in shuffled order."""
+
+    def test_reg_pd_and_fine_table_mixed_degree(self):
+        complexes.clear_caches()
+        rng = random.Random(30)
+        linear = mixed = 0
+        for _ in range(40):
+            n = rng.randint(2, 7)
+            picks = [random_mask(rng, n, rng.randint(1, min(4, n))) for _ in range(rng.randint(1, 7))]
+            if rng.random() < 0.4:
+                picks.append(random_mask(rng, n, 1))
+            gens = minimalize(picks)
+            linear += any(g.bit_count() == 1 for g in gens)
+            mixed += len({g.bit_count() for g in gens}) > 1
+            shuffled = list(gens)
+            rng.shuffle(shuffled)
+            I = Ideal.from_masks(n, gens)
+            for field, p in FIELDS:
+                coarse, fine = oracle_quotient_betti(gens, n, p)
+                want_reg = max(j - i for (i, j) in coarse if i >= 1) + 1
+                want_pd = max(i for (i, _) in coarse)
+                assert regularity_masks(tuple(shuffled), field) == want_reg
+                assert unpruned_regularity(gens, field) == want_reg
+                assert projective_dimension_masks(tuple(shuffled), field) == want_pd
+                assert unpruned_projective_dimension(gens, field) == want_pd
+                assert betti_table(I, field, fine=True, quotient=True).fine == fine
+        assert linear >= 10 and mixed >= 10
+        # shuffled input still reaches the homology cache in canonical form
+        for _m, local, _p in complexes._PROFILES:
+            assert list(local) == sorted(local, key=canon_key)
+
+    def test_nk_pure_degree(self):
+        rng = random.Random(31)
+        verdicts = set()
+        for _ in range(40):
+            n = rng.randint(2, 7)
+            d = rng.randint(1, min(3, n))
+            gens = random_gens(rng, n, rng.randint(1, 8), dmin=d, dmax=d)
+            shuffled = list(gens)
+            rng.shuffle(shuffled)
+            I = Ideal.from_masks(n, gens)
+            for field, p in FIELDS:
+                coarse, _ = oracle_quotient_betti(gens, n, p)
+                for k in (1, 2, 3):
+                    want = all(j == i - 1 + d for (i, j) in coarse if 1 <= i <= k)
+                    verdicts.add(want)
+                    assert is_Nk_betti(I, k, field) == want
+                    assert nk_betti_masks(tuple(shuffled), d, k, field) == want
+                    assert unpruned_nk_betti(gens, d, k, field) == want
+        assert verdicts == {True, False}
 
 
 class TestRegularity:

@@ -1,7 +1,10 @@
 """Complexes and the exact homology engine, cross-checked against a plain
 Fraction-elimination oracle."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from oracles import (
@@ -13,6 +16,7 @@ from oracles import (
     random_gens,
 )
 
+import monomial_lab
 from monomial_lab.complexes import (
     GF2,
     RATIONALS,
@@ -179,6 +183,52 @@ class TestHomology:
             over_q = reduced_homology_dims(C, RATIONALS)
             for p in (32003, 1000003):
                 assert reduced_homology_dims(C, FieldSpec(p)) == over_q
+
+
+# Runs under `python -O`: regularity of two disjoint edges (reg 3, found by a
+# GF(2) candidate confirmed over Q), then the same with the GF(2) ranks
+# skewed so the Euler characteristics disagree, and with a rational rank
+# too large for the face count.
+FORCED_MISMATCH = """
+import sys
+from monomial_lab import complexes
+from monomial_lab.betti import regularity
+from monomial_lab.core import Ideal, InternalCheckError
+
+I = Ideal.from_masks(4, (0b0011, 0b1100))
+print("optimize", sys.flags.optimize, "reg", regularity(I))
+f2_counts_ranks = complexes._f2_counts_ranks
+patches = {
+    "euler": ("_f2_counts_ranks",
+              lambda m, nf: (lambda c, r: (c, (1,) + r[1:]))(*f2_counts_ranks(m, nf))),
+    "negative": ("_exact_rank_q", lambda m, nf, s: 10**6),
+}
+for label, (name, fake) in patches.items():
+    complexes.clear_caches()
+    orig = getattr(complexes, name)
+    setattr(complexes, name, fake)
+    try:
+        regularity(I)
+        print(label, "unchecked")
+    except InternalCheckError as exc:
+        print(label, "raised", type(exc).__name__)
+    finally:
+        setattr(complexes, name, orig)
+"""
+
+
+class TestChecksSurviveOptimize:
+    def test_forced_mismatches_raise_under_O(self):
+        src = os.path.dirname(os.path.dirname(monomial_lab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", FORCED_MISMATCH],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:3] == [
+            "optimize 1 reg 3",
+            "euler raised InternalCheckError",
+            "negative raised InternalCheckError",
+        ]
 
 
 class TestRankKernels:
