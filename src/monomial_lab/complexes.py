@@ -6,10 +6,17 @@ The homology engine works on "local" complexes: m vertices labelled by bits
 generators) or by facets.  Faces are enumerated as one big-integer bitmap
 over the 2^m subset space, so closure operations are word-parallel shifts.
 
+Boundary ranks come from sparse column reduction (`exact_rank`), with faces
+ordered by (size, mask).  Over GF(2) and GF(p) the maps are reduced from
+the top dimension down, with clearing: the columns of the boundary map on
+size-s faces that are pivot rows of the map on size-(s+1) faces would
+reduce to zero, so they are never built.
+
 Rational ranks are certified exact: a dimension that vanishes over GF(2)
 also vanishes over Q (ranks can only drop modulo a prime, so reduced
 homology can only grow), and the remaining dimensions are confirmed by
-fraction-free integer elimination.
+fraction-free integer column reduction, which divides each column by its
+content and so keeps the entries small.
 """
 
 from __future__ import annotations
@@ -241,23 +248,44 @@ def _boundary_columns_f2(small: list[int], big: list[int]) -> list[int]:
     return cols
 
 
-def _boundary_rows_signed(small: list[int], big: list[int]) -> list[list[int]]:
-    """Dense signed boundary matrix (rows = smaller faces, cols = bigger).
+def _boundary_rows_signed(small: list[int], big: list[int]) -> list[dict[int, int]]:
+    """Signed boundary matrix as sparse columns, one {row index: +-1} map
+    per face of `big` (rows index `small`).
 
     Vertices of each face are taken ascending; removing the t-th smallest
     contributes sign (-1)^t.
     """
     index = {f: i for i, f in enumerate(small)}
-    rows = [[0] * len(big) for _ in small]
-    for j, face in enumerate(big):
+    cols = []
+    for face in big:
+        col = {}
         sign = 1
         rem = face
         while rem:
             low = rem & -rem
             rem ^= low
-            rows[index[face ^ low]][j] = sign
+            col[index[face ^ low]] = sign
             sign = -sign
-    return rows
+        cols.append(col)
+    return cols
+
+
+def _cleared_ranks(groups: list[list[int]], p: int) -> tuple[int, ...]:
+    """Boundary ranks over GF(p): entry s is the rank of the map from size-s
+    to size-(s-1) chains.  The maps are reduced from the top down, and the
+    faces that are pivot rows of the map above are left out as columns."""
+    ranks = [0] * (len(groups) + 1)
+    pivots = ()
+    for s in range(len(groups) - 1, 0, -1):
+        big = groups[s]
+        if pivots:
+            big = [f for i, f in enumerate(big) if i not in pivots]
+        if p == 2:
+            pivots = rank_f2_columns(_boundary_columns_f2(groups[s - 1], big))
+        else:
+            pivots = rank_mod_p(_boundary_rows_signed(groups[s - 1], big), p)
+        ranks[s] = len(pivots)
+    return tuple(ranks)
 
 
 # --- homology profiles -------------------------------------------------------
@@ -280,11 +308,7 @@ def _f2_counts_ranks(m: int, nonfaces: tuple[int, ...]):
     data = _F2_DATA.get(key)
     if data is None:
         groups = _chain_groups(m, nonfaces)
-        counts = tuple(len(g) for g in groups)
-        ranks = [0] * (len(groups) + 1)
-        for s in range(1, len(groups)):
-            ranks[s] = rank_f2_columns(_boundary_columns_f2(groups[s - 1], groups[s]))
-        data = (counts, tuple(ranks))
+        data = (tuple(len(g) for g in groups), _cleared_ranks(groups, 2))
         _F2_DATA[key] = data
     return data
 
@@ -315,7 +339,7 @@ def _exact_rank_q(m: int, nonfaces: tuple[int, ...], s: int) -> int:
             r = f2_ranks[s]
         else:
             groups = _chain_groups(m, nonfaces)
-            r = rank_bareiss(_boundary_rows_signed(groups[s - 1], groups[s]))
+            r = len(rank_bareiss(_boundary_rows_signed(groups[s - 1], groups[s])))
         _QRANKS[key] = r
     return r
 
@@ -348,10 +372,7 @@ def homology_profile(m: int, nonfaces: tuple[int, ...], field: FieldSpec) -> tup
     elif field.p is not None:
         groups = _chain_groups(m, nonfaces)
         counts = tuple(len(g) for g in groups)
-        ranks = [0] * (len(groups) + 1)
-        for s in range(1, len(groups)):
-            ranks[s] = rank_mod_p(_boundary_rows_signed(groups[s - 1], groups[s]), field.p)
-        prof = _profile_from(counts, tuple(ranks), m)
+        prof = _profile_from(counts, _cleared_ranks(groups, field.p), m)
     else:
         prof = tuple(exact_rational_hq(m, nonfaces, q) for q in range(-1, m))
     _PROFILES[key] = prof

@@ -267,7 +267,9 @@ def verify_range(
     regularity computed and compared against max(d, f(n, d)) at the
     ambient n.  The summary (including the extremal ideals and any
     violations) is byte-identical for any worker count and for
-    checkpointed-and-resumed runs.
+    checkpointed-and-resumed runs.  An error while merging (a failed
+    checkpoint write, say) terminates the worker pool at once instead of
+    waiting for the queued chunks.
     """
     if symmetry not in ("off", "dedupe", "skip"):
         raise InputError(f"symmetry must be off|dedupe|skip, got {symmetry!r}")
@@ -361,10 +363,13 @@ def verify_range(
                             },
                         },
                     )
-        finally:
+        except BaseException:
             if pool is not None:
-                pool.close()
-                pool.join()
+                pool.terminate()
+            raise
+        if pool is not None:
+            pool.close()
+            pool.join()
     finally:
         if stream is not None:
             stream.close()

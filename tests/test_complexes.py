@@ -9,6 +9,7 @@ import sys
 import pytest
 from oracles import (
     faces_from_facets,
+    faces_from_nonfaces,
     fraction_rank,
     mod_rank,
     oracle_homology,
@@ -17,16 +18,18 @@ from oracles import (
 )
 
 import monomial_lab
+from monomial_lab import complexes
 from monomial_lab.complexes import (
     GF2,
     RATIONALS,
     FieldSpec,
     SimplicialComplex,
+    homology_profile,
     reduced_homology_dims,
     restrict_complex,
     stanley_reisner,
 )
-from monomial_lab.core import Ideal, InputError, Monomial, minimal_generators
+from monomial_lab.core import Ideal, InputError, Monomial, canon_key, minimal_generators
 from monomial_lab.exact_rank import rank_bareiss, rank_f2_columns, rank_mod_p
 
 # minimal 6-vertex triangulation of the real projective plane: 10 facets,
@@ -231,11 +234,17 @@ class TestChecksSurviveOptimize:
         ]
 
 
+def sparse_columns(rows):
+    """The columns of a dense row-list matrix as {row: entry} maps."""
+    ncols = len(rows[0]) if rows else 0
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
+
+
 class TestRankKernels:
     def test_known_singular_matrix(self):
         rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-        assert rank_bareiss([r[:] for r in rows]) == 2
-        assert rank_mod_p([r[:] for r in rows], 5) == 2
+        assert len(rank_bareiss(sparse_columns(rows))) == 2
+        assert len(rank_mod_p(sparse_columns(rows), 5)) == 2
 
     def test_random_against_fraction_elimination(self):
         rng = random.Random(17)
@@ -243,9 +252,9 @@ class TestRankKernels:
             nr, nc = rng.randint(1, 8), rng.randint(1, 8)
             rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
             want = fraction_rank(rows)
-            assert rank_bareiss([r[:] for r in rows]) == want
+            assert len(rank_bareiss(sparse_columns(rows))) == want
             big = 1000003
-            assert rank_mod_p([r[:] for r in rows], big) == mod_rank(rows, big)
+            assert len(rank_mod_p(sparse_columns(rows), big)) == mod_rank(rows, big)
             cols = []
             for j in range(nc):
                 col = 0
@@ -253,7 +262,7 @@ class TestRankKernels:
                     if rows[i][j] % 2:
                         col |= 1 << i
                 cols.append(col)
-            assert rank_f2_columns(cols) == mod_rank(rows, 2)
+            assert len(rank_f2_columns(cols)) == mod_rank(rows, 2)
 
     def test_f2_rank_bounds_rational_rank(self):
         rng = random.Random(18)
@@ -267,4 +276,110 @@ class TestRankKernels:
                     if rows[i][j] % 2:
                         col |= 1 << i
                 cols.append(col)
-            assert rank_f2_columns(cols) <= fraction_rank(rows)
+            assert len(rank_f2_columns(cols)) <= fraction_rank(rows)
+
+
+def bit_columns(rows):
+    """The columns of a dense row-list matrix, reduced mod 2, as bitmasks."""
+    ncols = len(rows[0]) if rows else 0
+    return [sum(1 << i for i, row in enumerate(rows) if row[j] % 2) for j in range(ncols)]
+
+
+def dense_rows(columns, nrows):
+    """Sparse {row: entry} columns as a dense row-list matrix."""
+    return [[col.get(i, 0) for col in columns] for i in range(nrows)]
+
+
+def minimal_nonfaces(faces, m):
+    face_set = set(faces)
+    return tuple(sorted(
+        (x for x in range(1 << m) if x not in face_set
+         and all(x ^ (1 << b) in face_set for b in range(m) if x >> b & 1)),
+        key=canon_key))
+
+
+def local_complexes(rng, count):
+    """Seeded (m, minimal non-faces) with m <= 8: the 6-vertex RP^2, then
+    random complexes, every third one a cone (its top vertex lies in no
+    non-face)."""
+    rp2 = SimplicialComplex.from_vertex_sets(6, RP2_FACETS)
+    out = [(6, minimal_nonfaces(faces_from_facets(rp2.facets, 6), 6))]
+    for k in range(count):
+        m = rng.randint(1, 8)
+        free = m - 1 if k % 3 == 0 and m > 1 else m
+        nonfaces = random_gens(rng, free, rng.randint(1, free + 2),
+                               dmin=min(free, 1 if k % 4 == 1 else 2), dmax=min(free, 4))
+        out.append((m, tuple(sorted(nonfaces, key=canon_key))))
+    return out
+
+
+class TestSparseElimination:
+    def test_profiles_against_oracle(self):
+        rng = random.Random(31)
+        for m, nonfaces in local_complexes(rng, 45):
+            faces = faces_from_nonfaces(nonfaces, m)
+            cone = not any(g >> (m - 1) & 1 for g in nonfaces)
+            for p in (None, 2, 3, 32003):
+                got = homology_profile(m, nonfaces, FieldSpec(p))
+                want = oracle_homology(faces, m, p)
+                assert {q: got[q + 1] for q in want} == want, (m, nonfaces, p)
+                assert sum(got) == sum(want.values())
+                if cone:
+                    assert not any(got)
+
+    def test_rp2_torsion_separates_fields(self):
+        m, nonfaces = local_complexes(random.Random(0), 0)[0]
+        assert homology_profile(m, nonfaces, GF2) == (0, 0, 1, 1, 0, 0, 0)
+        for p in (None, 3, 32003):
+            assert homology_profile(m, nonfaces, FieldSpec(p)) == (0,) * 7
+
+    def test_cleared_ranks_match_uncleared(self):
+        rng = random.Random(32)
+        for m, nonfaces in local_complexes(rng, 45):
+            groups = complexes._chain_groups(m, nonfaces)
+            for p in (2, 3, 32003):
+                uncleared = [0] * (len(groups) + 1)
+                for s in range(1, len(groups)):
+                    cols = complexes._boundary_rows_signed(groups[s - 1], groups[s])
+                    rows = dense_rows(cols, len(groups[s - 1]))
+                    if p == 2:
+                        full = rank_f2_columns(
+                            complexes._boundary_columns_f2(groups[s - 1], groups[s]))
+                    else:
+                        full = rank_mod_p(cols, p)
+                    uncleared[s] = len(full)
+                    assert uncleared[s] == mod_rank(rows, p)
+                assert complexes._cleared_ranks(groups, p) == tuple(uncleared)
+            assert complexes._f2_counts_ranks(m, nonfaces)[1] == complexes._cleared_ranks(groups, 2)
+            # over Q, the pivot rows of the map above clear the map below too
+            pivots = ()
+            for s in range(len(groups) - 1, 0, -1):
+                cols = complexes._boundary_rows_signed(groups[s - 1], groups[s])
+                full = rank_bareiss(cols)
+                kept = [c for i, c in enumerate(cols) if i not in pivots]
+                assert len(rank_bareiss(kept)) == len(full)
+                assert len(full) == fraction_rank(dense_rows(cols, len(groups[s - 1])))
+                pivots = full
+
+    def test_kernels_on_dependent_columns(self):
+        rng = random.Random(33)
+        for _ in range(150):
+            nr = rng.randint(1, 9)
+            cols = [[rng.randint(-40, 40) if rng.random() < 0.6 else 0 for _ in range(nr)]
+                    for _ in range(rng.randint(1, 6))]
+            # integer combinations of earlier columns and a zero column reduce to zero
+            for _ in range(rng.randint(1, 4)):
+                a, b = rng.randint(-6, 6), rng.randint(-6, 6)
+                x, y = rng.choice(cols), rng.choice(cols)
+                cols.append([a * u + b * v for u, v in zip(x, y)])
+            cols.append([0] * nr)
+            rng.shuffle(cols)
+            rows = [[c[i] for c in cols] for i in range(nr)]
+            sparse = sparse_columns(rows)
+            pivots = rank_bareiss(sparse)
+            assert len(pivots) == fraction_rank(rows)
+            assert set(pivots) <= set(range(nr))
+            for p in (2, 3, 7, 32003):
+                assert len(rank_mod_p(sparse, p)) == mod_rank(rows, p)
+            assert len(rank_f2_columns(bit_columns(rows))) == mod_rank(rows, 2)
+            assert sparse == sparse_columns(rows)  # inputs are left as they were

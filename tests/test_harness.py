@@ -4,6 +4,7 @@ the built-in golden example, and the gcd witness sweep."""
 import json
 import math
 import random
+from multiprocessing import get_context
 
 import pytest
 
@@ -140,6 +141,36 @@ class TestVerifyRange:
         verify_range(4, 2, checkpoint_path=path)
         with pytest.raises(CheckpointError):
             verify_range(4, 2, chunk_size=7, checkpoint_path=path, resume=True)
+
+    def test_checkpoint_failure_terminates_pool(self, tmp_path, monkeypatch):
+        from monomial_lab import harness
+
+        calls = []
+
+        class SpyPool:
+            def __init__(self, processes):
+                self.pool = get_context("fork").Pool(processes=processes)
+
+            def imap(self, fn, tasks):
+                return self.pool.imap(fn, tasks)
+
+            def __getattr__(self, name):  # close, join, terminate
+                calls.append(name)
+                return getattr(self.pool, name)
+
+        class SpyContext:
+            Pool = SpyPool
+
+        def failing_write(path, doc):
+            calls.append("write")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, "get_context", lambda method: SpyContext)
+        monkeypatch.setattr(harness, "_write_checkpoint", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            verify_range(5, 2, jobs=2, chunk_size=64, checkpoint_path=str(tmp_path / "ck"))
+        # the first merged chunk fails, and the queued ones are dropped, not drained
+        assert calls == ["write", "terminate"]
 
     def test_resume_without_path(self):
         with pytest.raises(CheckpointError):
