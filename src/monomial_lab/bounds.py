@@ -104,6 +104,32 @@ class BoundReport:
         return json.dumps(self.__dict__, sort_keys=True)
 
 
+def _report(kind: str, I: Ideal, d: int, value: int, use_support: bool) -> BoundReport:
+    """`value` against max(d, f(n, d)), with n the ambient or the support
+    variable count of I."""
+    n_ambient = I.ambient
+    n_support = I.supp_mask.bit_count()
+    n = n_support if use_support else n_ambient
+    # d = 1 is allowed here: both formulas extend consistently (f = g = 1)
+    f_value = _f(n, d) if d >= 2 else 1
+    bound = max(d, f_value)
+    return BoundReport(
+        kind=kind,
+        n=n,
+        n_ambient=n_ambient,
+        n_support=n_support,
+        d=d,
+        reg=value,
+        f_value=f_value,
+        g_value=_g(n, d) if d >= 2 else 1,
+        bound=bound,
+        theorem_holds=value <= bound,
+        tight=value == bound,
+        faltings_value=faltings_bound(n_ambient, height_profile(I).bigheight),
+        f_support=_f(n_support, d) if d >= 2 else 1,
+    )
+
+
 def check_theorem1(I: Ideal, field: FieldSpec = RATIONALS, use_support: bool = False) -> BoundReport:
     """Regularity-bound report for a linearly presented pure-degree ideal.
 
@@ -122,31 +148,7 @@ def check_theorem1(I: Ideal, field: FieldSpec = RATIONALS, use_support: bool = F
         raise PreconditionError(
             f"ideal is not linearly presented (disconnected pair at indices {witness})"
         )
-    n_ambient = I.ambient
-    n_support = I.supp_mask.bit_count()
-    n = n_support if use_support else n_ambient
-    reg = regularity(I, field)
-    # d = 1 is allowed here: both formulas extend consistently (f = g = 1)
-    f_value = _f(n, d) if d >= 2 else 1
-    g_value = _g(n, d) if d >= 2 else 1
-    f_support = _f(n_support, d) if d >= 2 else 1
-    bound = max(d, f_value)
-    bh = height_profile(I).bigheight
-    return BoundReport(
-        kind="regularity",
-        n=n,
-        n_ambient=n_ambient,
-        n_support=n_support,
-        d=d,
-        reg=reg,
-        f_value=f_value,
-        g_value=g_value,
-        bound=bound,
-        theorem_holds=reg <= bound,
-        tight=reg == bound,
-        faltings_value=faltings_bound(n_ambient, bh),
-        f_support=f_support,
-    )
+    return _report("regularity", I, d, regularity(I, field), use_support)
 
 
 def check_corollary1(I: Ideal, field: FieldSpec = RATIONALS, use_support: bool = False) -> BoundReport:
@@ -161,30 +163,7 @@ def check_corollary1(I: Ideal, field: FieldSpec = RATIONALS, use_support: bool =
     ok, c = is_S2(I, field)
     if not ok:
         raise PreconditionError("quotient does not satisfy S2")
-    n_ambient = I.ambient
-    n_support = I.supp_mask.bit_count()
-    n = n_support if use_support else n_ambient
-    cd = cohomological_dimension(I, field)
-    f_value = _f(n, c) if c >= 2 else 1
-    g_value = _g(n, c) if c >= 2 else 1
-    f_support = _f(n_support, c) if c >= 2 else 1
-    bound = max(c, f_value)
-    bh = height_profile(I).bigheight
-    return BoundReport(
-        kind="cohomological",
-        n=n,
-        n_ambient=n_ambient,
-        n_support=n_support,
-        d=c,
-        reg=cd,
-        f_value=f_value,
-        g_value=g_value,
-        bound=bound,
-        theorem_holds=cd <= bound,
-        tight=cd == bound,
-        faltings_value=faltings_bound(n_ambient, bh),
-        f_support=f_support,
-    )
+    return _report("cohomological", I, c, cohomological_dimension(I, field), use_support)
 
 
 def sharp_example(n: int, d: int, verify: bool = True) -> Ideal:

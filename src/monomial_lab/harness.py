@@ -221,17 +221,18 @@ def _write_checkpoint(path: str, doc: dict) -> None:
     os.replace(tmp, path)
 
 
-_CHECKPOINT_KEYS = {
-    "n", "d", "field", "chunk_size", "symmetry", "cursor", "checked",
-    "n2_count", "running_max", "extremal_so_far", "violations",
+# campaign state before the first chunk, under the checkpoint file's key names
+_START_STATE = {
+    "cursor": 1,
+    "checked": 0,
+    "n2_count": 0,
+    "running_max": -1,
+    "extremal_so_far": [],
+    "violations": [],
 }
 
-# dataclass-state name <-> checkpoint-file name
-_STATE_TO_CHECKPOINT = {"max_reg": "running_max", "extremal": "extremal_so_far"}
 
-
-def _read_checkpoint(path: str, n: int, d: int, field_label: str,
-                     chunk_size: int, symmetry: str) -> dict:
+def _read_checkpoint(path: str, stamp: dict) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -239,15 +240,46 @@ def _read_checkpoint(path: str, n: int, d: int, field_label: str,
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"corrupted checkpoint {path}: {exc}") from exc
-    if not isinstance(doc, dict) or not _CHECKPOINT_KEYS.issubset(doc):
+    if not isinstance(doc, dict) or not (stamp.keys() | _START_STATE.keys()) <= doc.keys():
         raise CheckpointError(f"checkpoint {path} is missing required fields")
-    stamp = (doc["n"], doc["d"], doc["field"], doc["chunk_size"], doc["symmetry"])
-    if stamp != (n, d, field_label, chunk_size, symmetry):
-        raise CheckpointError(
-            f"checkpoint {path} was written for run {stamp}, "
-            f"not ({n}, {d}, {field_label!r}, {chunk_size}, {symmetry!r})"
-        )
+    found = {key: doc[key] for key in stamp}
+    if found != stamp:
+        raise CheckpointError(f"checkpoint {path} was written for run {found}, not {stamp}")
     return doc
+
+
+def _merge(state: dict, partial: dict) -> dict:
+    """The campaign state after the next chunk in index order.
+
+    Does no I/O and never mutates its arguments, so a state may be shared.
+    """
+    top = state["running_max"]
+    chunk_max = partial["max_reg"]
+    extremal = state["extremal_so_far"]
+    if chunk_max > top:
+        extremal = partial["extremal"]
+    elif chunk_max == top >= 0:
+        extremal = extremal + partial["extremal"]
+    return {
+        "cursor": partial["end"] + 1,
+        "checked": state["checked"] + partial["checked"],
+        "n2_count": state["n2_count"] + partial["n2_count"],
+        "running_max": max(top, chunk_max),
+        "extremal_so_far": extremal,
+        "violations": state["violations"] + [list(v) for v in partial["violations"]],
+    }
+
+
+def _stream_lines(n: int, monomials: tuple[int, ...], partial: dict, running_max: int):
+    """A chunk's stream records, as encoded lines: its extremal ideals when
+    they reach the running max at merge time, then its violations."""
+    extremal = partial["extremal"] if partial["max_reg"] == running_max else ()
+    records = [("extremal", idx, running_max) for idx in extremal]
+    records += [("violation", idx, reg) for idx, reg in partial["violations"]]
+    for kind, idx, reg in records:
+        gens = [str(Monomial(n, m)) for m in _subset_gens(monomials, idx)]
+        doc = {"type": kind, "index": idx, "reg": reg, "gens": gens}
+        yield (json.dumps(doc, sort_keys=True) + "\n").encode()
 
 
 def verify_range(
@@ -267,9 +299,10 @@ def verify_range(
     regularity computed and compared against max(d, f(n, d)) at the
     ambient n.  The summary (including the extremal ideals and any
     violations) is byte-identical for any worker count and for
-    checkpointed-and-resumed runs.  An error while merging (a failed
-    checkpoint write, say) terminates the worker pool at once instead of
-    waiting for the queued chunks.
+    checkpointed-and-resumed runs.  The checkpoint records the stream's
+    length, and a resume cuts the stream back to it.  An error while
+    merging (a failed checkpoint write, say) terminates the worker pool at
+    once instead of waiting for the queued chunks.
     """
     if symmetry not in ("off", "dedupe", "skip"):
         raise InputError(f"symmetry must be off|dedupe|skip, got {symmetry!r}")
@@ -284,23 +317,21 @@ def verify_range(
     bound = theorem_bound(n, d)
     t0 = time.monotonic()
 
-    state = {
-        "cursor": 1,
-        "checked": 0,
-        "n2_count": 0,
-        "max_reg": -1,
-        "extremal": [],
-        "violations": [],
-    }
+    stamp = {"n": n, "d": d, "field": field.label, "chunk_size": chunk_size,
+             "symmetry": symmetry}
+    state = _START_STATE
+    stream_length = None
     if resume:
         if checkpoint_path is None:
             raise CheckpointError("resume requested without a checkpoint path")
-        doc = _read_checkpoint(checkpoint_path, n, d, field.label, chunk_size, symmetry)
-        for key in state:
-            state[key] = doc[_STATE_TO_CHECKPOINT.get(key, key)]
+        doc = _read_checkpoint(checkpoint_path, stamp)
+        state = {key: doc[key] for key in _START_STATE}
+        stream_length = doc.get("stream_length")
 
-    stream = open(stream_path, "a", encoding="utf-8") if stream_path else None
+    stream = open(stream_path, "ab") if stream_path else None
     try:
+        if stream is not None and stream_length is not None and stream.tell() > stream_length:
+            stream.truncate(stream_length)  # records of chunks the checkpoint lacks
         starts = range(state["cursor"], total + 1, chunk_size)
         tasks = [
             (n, d, field.p, s, min(s + chunk_size - 1, total), bound, symmetry)
@@ -314,55 +345,16 @@ def verify_range(
             pool = ctx.Pool(processes=jobs)
             results = pool.imap(_verify_chunk, tasks)
         try:
+            mark = {}
             for partial in results:
-                state["checked"] += partial["checked"]
-                state["n2_count"] += partial["n2_count"]
-                if partial["max_reg"] > state["max_reg"]:
-                    state["max_reg"] = partial["max_reg"]
-                    state["extremal"] = list(partial["extremal"])
-                elif partial["max_reg"] == state["max_reg"] and partial["max_reg"] >= 0:
-                    state["extremal"].extend(partial["extremal"])
-                state["violations"].extend(list(v) for v in partial["violations"])
-                state["cursor"] = partial["end"] + 1
+                state = _merge(state, partial)
                 if stream is not None:
-                    for idx in partial["extremal"]:
-                        if partial["max_reg"] == state["max_reg"]:
-                            record = {
-                                "type": "extremal",
-                                "index": idx,
-                                "reg": partial["max_reg"],
-                                "gens": [
-                                    str(Monomial(n, m))
-                                    for m in _subset_gens(monomials, idx)
-                                ],
-                            }
-                            stream.write(json.dumps(record, sort_keys=True) + "\n")
-                    for idx, reg in partial["violations"]:
-                        record = {
-                            "type": "violation",
-                            "index": idx,
-                            "reg": reg,
-                            "gens": [
-                                str(Monomial(n, m)) for m in _subset_gens(monomials, idx)
-                            ],
-                        }
-                        stream.write(json.dumps(record, sort_keys=True) + "\n")
+                    lines = _stream_lines(n, monomials, partial, state["running_max"])
+                    stream.writelines(lines)
                     stream.flush()
+                    mark = {"stream_length": stream.tell()}
                 if checkpoint_path is not None:
-                    _write_checkpoint(
-                        checkpoint_path,
-                        {
-                            "n": n,
-                            "d": d,
-                            "field": field.label,
-                            "chunk_size": chunk_size,
-                            "symmetry": symmetry,
-                            **{
-                                _STATE_TO_CHECKPOINT.get(k, k): v
-                                for k, v in state.items()
-                            },
-                        },
-                    )
+                    _write_checkpoint(checkpoint_path, {**stamp, **state, **mark})
         except BaseException:
             if pool is not None:
                 pool.terminate()
@@ -374,7 +366,7 @@ def verify_range(
         if stream is not None:
             stream.close()
 
-    extremal_idx = state["extremal"]
+    extremal_idx = state["extremal_so_far"]
     if symmetry == "dedupe" and extremal_idx:
         perms = _index_perms(n, d)
         seen = set()
@@ -400,7 +392,7 @@ def verify_range(
         total_ideals=total,
         checked=state["checked"],
         n2_count=state["n2_count"],
-        max_reg=state["max_reg"],
+        max_reg=state["running_max"],
         bound=bound,
         extremal=extremal,
         violations=violations,

@@ -48,6 +48,23 @@ def _adjacency(gens: tuple[int, ...], d: int) -> list[int]:
     return adj
 
 
+def _reach(adj, members: int, seen: int, target: int) -> int:
+    """Grow the vertex bitmask `seen` breadth first along `adj` (row
+    bitmasks) inside `members`, until it meets `target` or stops growing;
+    return it."""
+    frontier = seen
+    while frontier and not seen & target:
+        nxt = 0
+        x = frontier
+        while x:
+            low = x & -x
+            x ^= low
+            nxt |= adj[low.bit_length() - 1]
+        frontier = nxt & members & ~seen
+        seen |= frontier
+    return seen
+
+
 def n2_verdict_masks(gens: tuple[int, ...], d: int):
     """Connectivity criterion on raw generator bitmasks.
 
@@ -69,19 +86,7 @@ def n2_verdict_masks(gens: tuple[int, ...], d: int):
             for i in range(r):
                 if gens[i] & ~big == 0:
                     members |= 1 << i
-            target = 1 << b
-            seen = 1 << a
-            frontier = seen
-            while frontier and not seen & target:
-                nxt = 0
-                x = frontier
-                while x:
-                    low = x & -x
-                    x ^= low
-                    nxt |= adj[low.bit_length() - 1]
-                frontier = nxt & members & ~seen
-                seen |= frontier
-            if not seen & target:
+            if not _reach(adj, members, 1 << a, 1 << b) >> b & 1:
                 return False, (a, b)
     return True, None
 
@@ -118,22 +123,10 @@ class LcmSubgraph:
     edges: tuple[tuple[int, int], ...]
 
     def is_connected(self) -> bool:
-        verts = set(self.vertices)
-        if len(verts) <= 1:
-            return True
-        nbrs: dict[int, set[int]] = {x: set() for x in verts}
-        for a, b in self.edges:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        stack = [self.vertices[0]]
-        seen = {self.vertices[0]}
-        while stack:
-            x = stack.pop()
-            for y in nbrs[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen == verts
+        # induced: the edges are the graph's edges among `vertices`
+        members = sum(1 << x for x in self.vertices)
+        start = members & -members
+        return _reach(self.graph.adjacency, members, start, 0) == members
 
 
 def generator_graph(I: Ideal) -> GenGraph:

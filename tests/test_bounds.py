@@ -178,6 +178,47 @@ class TestCheckCorollary1:
         assert r.g_value == g_bound(5, 2)
 
 
+def _sharp_in_9():
+    return Ideal.from_masks(9, sharp_example(6, 3).gen_masks)
+
+
+REPORT_BYTES = [
+    (lambda: check_theorem1(sharp_example(6, 3)),
+     '{"bound": 4, "d": 3, "f_support": 4, "f_value": 4, "faltings_value": 5, '
+     '"g_value": 4, "kind": "regularity", "n": 6, "n_ambient": 6, "n_support": 6, '
+     '"reg": 4, "theorem_holds": true, "tight": true}'),
+    (lambda: check_theorem1(ideal(5, (1, 2), (2, 3), (3, 4), (4, 5), (1, 5))),
+     '{"bound": 2, "d": 2, "f_support": 2, "f_value": 2, "faltings_value": 4, '
+     '"g_value": 3, "kind": "regularity", "n": 5, "n_ambient": 5, "n_support": 5, '
+     '"reg": 3, "theorem_holds": false, "tight": false}'),
+    (lambda: check_theorem1(_sharp_in_9()),
+     '{"bound": 5, "d": 3, "f_support": 4, "f_value": 5, "faltings_value": 8, '
+     '"g_value": 5, "kind": "regularity", "n": 9, "n_ambient": 9, "n_support": 6, '
+     '"reg": 4, "theorem_holds": true, "tight": false}'),
+    (lambda: check_theorem1(_sharp_in_9(), use_support=True),
+     '{"bound": 4, "d": 3, "f_support": 4, "f_value": 4, "faltings_value": 8, '
+     '"g_value": 4, "kind": "regularity", "n": 6, "n_ambient": 9, "n_support": 6, '
+     '"reg": 4, "theorem_holds": true, "tight": true}'),
+    (lambda: check_corollary1(alexander_dual(sharp_example(6, 3))),
+     '{"bound": 4, "d": 3, "f_support": 4, "f_value": 4, "faltings_value": 5, '
+     '"g_value": 4, "kind": "cohomological", "n": 6, "n_ambient": 6, "n_support": 6, '
+     '"reg": 4, "theorem_holds": true, "tight": true}'),
+    (lambda: check_corollary1(
+        minimal_generators([Monomial.of(5, k) for k in (1, 2, 3)], ambient=5),
+        use_support=True),
+     '{"bound": 3, "d": 3, "f_support": 3, "f_value": 3, "faltings_value": 4, '
+     '"g_value": 3, "kind": "cohomological", "n": 3, "n_ambient": 5, "n_support": 3, '
+     '"reg": 3, "theorem_holds": true, "tight": true}'),
+]
+
+
+@pytest.mark.parametrize("make, expected", REPORT_BYTES)
+def test_report_json_bytes(make, expected):
+    """Frozen `BoundReport.to_json` output of both report kinds, ambient
+    and support-restricted."""
+    assert make().to_json() == expected
+
+
 class TestSharpExample:
     def test_n_equals_d(self):
         assert sharp_example(3, 3) == ideal(3, (1, 2, 3))

@@ -161,6 +161,18 @@ class TestHarnessCommands:
         doc = json.loads(out)
         assert code == 1 and len(doc["violations"]) == 12
 
+    def test_verify_checkpoint_resume_round_trip(self, capsys, tmp_path):
+        ck, stream = tmp_path / "ck.json", tmp_path / "s.jsonl"
+        argv = ["--json", "verify", "--n", "5", "--d", "2", "--checkpoint", str(ck),
+                "--stream", str(stream), "--chunk-size", "100"]
+        code, straight, _ = run_cli(capsys, *argv)
+        assert code == 1
+        written = stream.read_bytes()
+        code, resumed, _ = run_cli(capsys, *argv, "--resume")
+        assert code == 1
+        assert json.loads(resumed) == json.loads(straight)
+        assert stream.read_bytes() == written
+
     def test_gcd_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "gcd-sweep", "--n", "4", "--d", "2")
         doc = json.loads(out)

@@ -183,6 +183,58 @@ class TestVerifyRange:
         assert any(r["type"] == "violation" for r in lines)
         assert all({"type", "index", "reg", "gens"} <= set(r) for r in lines)
 
+    def test_campaign_files_identical_across_jobs(self, tmp_path):
+        files = []
+        for jobs in (1, 2, 3):
+            ck, stream = tmp_path / f"ck{jobs}.json", tmp_path / f"s{jobs}.jsonl"
+            verify_range(5, 2, jobs=jobs, chunk_size=64,
+                         checkpoint_path=str(ck), stream_path=str(stream))
+            files.append((ck.read_bytes(), stream.read_bytes()))
+        assert files[0] == files[1] == files[2]
+
+    def test_resume_after_failed_checkpoint_write(self, tmp_path, monkeypatch):
+        """A run that dies between a chunk's stream flush and its checkpoint
+        write resumes to the straight run's stream, without duplicates."""
+        from monomial_lab import harness
+
+        straight_stream = tmp_path / "straight.jsonl"
+        straight = verify_range(5, 2, chunk_size=100, stream_path=str(straight_stream))
+        ck, stream = str(tmp_path / "ck.json"), tmp_path / "s.jsonl"
+        write = harness._write_checkpoint
+        calls = []
+
+        def sixth_write_fails(path, doc):
+            calls.append(path)
+            if len(calls) == 6:
+                raise OSError("killed")
+            write(path, doc)
+
+        monkeypatch.setattr(harness, "_write_checkpoint", sixth_write_fails)
+        with pytest.raises(OSError, match="killed"):
+            verify_range(5, 2, chunk_size=100, checkpoint_path=ck, stream_path=str(stream))
+        monkeypatch.undo()
+        resumed = verify_range(5, 2, chunk_size=100, checkpoint_path=ck,
+                               stream_path=str(stream), resume=True)
+        assert stream.read_bytes() == straight_stream.read_bytes()
+        assert resumed.to_json() == straight.to_json()
+
+    def test_resume_never_extends_the_stream(self, tmp_path):
+        ck, plain = str(tmp_path / "ck.json"), str(tmp_path / "plain.json")
+        stream = tmp_path / "s.jsonl"
+        verify_range(5, 2, chunk_size=100, checkpoint_path=ck, stream_path=str(stream))
+        verify_range(5, 2, chunk_size=100, checkpoint_path=plain)
+        short = stream.read_bytes()[:100]
+        stream.write_bytes(short)
+        # the recorded length is longer than the file
+        verify_range(5, 2, chunk_size=100, checkpoint_path=ck,
+                     stream_path=str(stream), resume=True)
+        assert stream.read_bytes() == short
+        # a checkpoint with no recorded length leaves the stream alone
+        stream.write_bytes(short * 3)
+        verify_range(5, 2, chunk_size=100, checkpoint_path=plain,
+                     stream_path=str(stream), resume=True)
+        assert stream.read_bytes() == short * 3
+
     def test_symmetry_modes(self):
         base = verify_range(4, 2)
         dedup = verify_range(4, 2, symmetry="dedupe")

@@ -18,7 +18,11 @@ from monomial_lab.core import (
     localize,
     UNIT_IDEAL,
 )
-from monomial_lab.harness import degree_monomial_masks, remark_example
+from monomial_lab.harness import (
+    degree_monomial_masks,
+    enumerate_pure_ideals,
+    remark_example,
+)
 from monomial_lab.linearity import (
     gcd_witness,
     generator_graph,
@@ -76,6 +80,15 @@ class TestLcmInducedSubgraph:
         assert sub.vertices == (0, 1)
         assert sub.edges == ()
         assert not sub.is_connected()
+
+    def test_agrees_with_connectivity_criterion(self):
+        # every (5, 2) ideal: the first disconnected pair is the N_2 witness
+        for I in enumerate_pure_ideals(5, 2):
+            G = generator_graph(I)
+            r = len(I.gens)
+            bad = [(I.gens[u], I.gens[v]) for u in range(r) for v in range(u + 1, r)
+                   if not lcm_induced_subgraph(G, u, v).is_connected()]
+            assert is_N2_graph(I) == (not bad, bad[0] if bad else None)
 
     def test_index_out_of_range(self):
         G = generator_graph(ideal(3, (1, 2)))
