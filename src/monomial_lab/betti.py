@@ -20,11 +20,11 @@ degrees, where the scan starts; any other saturated sigma has ideal index
 i >= 1, so it lies on row |sigma| - i <= |sigma| - 1 and at quotient index
 i + 1 <= |sigma|.  Hence regularity skips sigma with |sigma| - 1 <= the
 best row so far, and projective dimension skips |sigma| <= the best index.
-Over GF(p) the best value rises as exact answers arrive.  Over Q it stays
-at the established value: a nonzero GF(2) dimension is only a candidate,
-while a zero one certifies vanishing over Q, and candidates are confirmed
-exactly in decreasing order of the quantity maximized, so the result is
-exact.
+The best value rises as exact answers arrive, over every field.  Over Q
+the walk reads GF(2) profiles: a zero GF(2) dimension certifies vanishing
+over Q, and a nonzero one that would raise the best value is confirmed at
+once by exact elimination, so the best value only rises on a confirmed
+rational answer (a 2-torsion hit leaves it) and the result is exact.
 """
 
 from __future__ import annotations
@@ -39,21 +39,21 @@ from .complexes import (
     FieldSpec,
     exact_rational_hq,
     homology_profile,
-    _f2_counts_ranks,
     _remap,
 )
 from .core import Ideal, InputError, canon_key, mask_to_vars
 
 
-def _saturated_sigmas(gen_masks, supp: int, min_size: int = 0):
+def _saturated_sigmas(gen_masks, supp: int, floor=(0,)):
     """Yield (sigma, restricted generators) for every sigma of at least
-    min_size vertices whose vertices are all covered by generators supported
-    inside sigma (sigma = 0 included when min_size is 0).  Smaller subsets
-    are rejected on their size alone; the restricted generators keep the
-    order of gen_masks."""
+    floor[0] vertices whose vertices are all covered by generators supported
+    inside sigma (sigma = 0 included when floor[0] is 0).  floor[0] is read
+    again for every sigma, so a caller may raise it mid-walk; smaller subsets
+    are rejected on their size alone, before their generators are listed.
+    The restricted generators keep the order of gen_masks."""
     sigma = supp
     while True:
-        if sigma.bit_count() >= min_size:
+        if sigma.bit_count() >= floor[0]:
             restricted = [g for g in gen_masks if g & ~sigma == 0]
             union = 0
             for g in restricted:
@@ -72,10 +72,9 @@ def _profiles(gens, supp: int, field: FieldSpec, floor=(0,)):
     relabelled generators come out canonical without a sort, so equal local
     complexes share one homology cache entry.  floor[0] is read again for
     every sigma, so a caller may raise it mid-walk."""
-    for sigma, restricted in _saturated_sigmas(gens, supp, floor[0]):
-        if sigma.bit_count() >= floor[0]:
-            m, local = _remap(sigma, restricted)
-            yield sigma, m, local, homology_profile(m, local, field)
+    for sigma, restricted in _saturated_sigmas(gens, supp, floor):
+        m, local = _remap(sigma, restricted)
+        yield sigma, m, local, homology_profile(m, local, field)
 
 
 def _scan_max(gens, field: FieldSpec, best: int, value) -> int:
@@ -85,9 +84,9 @@ def _scan_max(gens, field: FieldSpec, best: int, value) -> int:
     A slot is a saturated sigma, m = |sigma|, and a profile index idx <= m - 2
     (dim H~_{idx-1}, quotient index m - idx >= 2); `value` scores it, 0 for a
     slot that does not count, and its maximum over idx must not fall as m
-    grows.  Over GF(p) best rises with each exact value.  Over Q it stays:
-    GF(2) hits are candidates, confirmed highest value first, cheapest
-    complex first.
+    grows.  best rises with each exact value, and the walk skips every sigma
+    too small to beat it.  Over Q the walk reads GF(2) profiles, and a hit
+    that would raise best is confirmed over Q before it does.
     """
     gens = sorted(gens, key=canon_key)
     supp = 0
@@ -99,24 +98,15 @@ def _scan_max(gens, field: FieldSpec, best: int, value) -> int:
         return best
     exact = field.p is not None
     floor = [bisect_right(ceiling, best)]  # the smallest sigma that can beat best
-    candidates = []
     for _sigma, m, local, prof in _profiles(gens, supp, field if exact else GF2, floor):
         for idx in range(m - 1):
             v = value(m, idx) if prof[idx] else 0
-            if v <= best:
-                continue
-            if not exact:
-                counts, _ = _f2_counts_ranks(m, local)
-                candidates.append((v, sum(counts), m, local, idx - 1))
+            if v <= best or not (exact or exact_rational_hq(m, local, idx - 1)):
                 continue
             best = v
             if best >= ceiling[-1]:
                 return best
             floor[0] = bisect_right(ceiling, best)
-    candidates.sort(key=lambda c: (-c[0], c[1]))
-    for v, _cost, m, local, q in candidates:
-        if exact_rational_hq(m, local, q):
-            return v
     return best
 
 

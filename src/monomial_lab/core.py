@@ -225,11 +225,6 @@ class Ideal:
             raise InputError(f"ambient mismatch: {m.ambient} vs {self.ambient}")
         return self.contains_mask(m.mask)
 
-    def is_subset_of(self, other: "Ideal") -> bool:
-        if self.ambient != other.ambient:
-            raise InputError("ambient mismatch")
-        return all(other.contains_mask(g.mask) for g in self.gens)
-
     def __str__(self):
         if self.is_zero:
             return "(0)"

@@ -11,6 +11,7 @@ Long runs persist a resumable JSON checkpoint.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -300,7 +301,8 @@ def verify_range(
     ambient n.  The summary (including the extremal ideals and any
     violations) is byte-identical for any worker count and for
     checkpointed-and-resumed runs.  The checkpoint records the stream's
-    length, and a resume cuts the stream back to it.  An error while
+    length and hash; a resume refuses a stream at least that long whose
+    first bytes do not match, and cuts a matching one back.  An error while
     merging (a failed checkpoint write, say) terminates the worker pool at
     once instead of waiting for the queued chunks.
     """
@@ -320,18 +322,27 @@ def verify_range(
     stamp = {"n": n, "d": d, "field": field.label, "chunk_size": chunk_size,
              "symmetry": symmetry}
     state = _START_STATE
-    stream_length = None
+    doc = {}
     if resume:
         if checkpoint_path is None:
             raise CheckpointError("resume requested without a checkpoint path")
         doc = _read_checkpoint(checkpoint_path, stamp)
         state = {key: doc[key] for key in _START_STATE}
-        stream_length = doc.get("stream_length")
 
-    stream = open(stream_path, "ab") if stream_path else None
+    stream = sha = None
+    if stream_path:
+        length = doc.get("stream_length")
+        with open(stream_path, "a+b") as fh:  # creates a missing file
+            fh.seek(0)
+            sha = hashlib.sha256(fh.read(length))  # the whole file when length is None
+            end = fh.seek(0, os.SEEK_END)
+        if length is not None and end >= length:
+            if sha.hexdigest() != doc.get("stream_sha256"):
+                raise CheckpointError(
+                    f"stream {stream_path} does not begin with the bytes its checkpoint hashed")
+            os.truncate(stream_path, length)  # records of chunks the checkpoint lacks
+        stream = open(stream_path, "ab")
     try:
-        if stream is not None and stream_length is not None and stream.tell() > stream_length:
-            stream.truncate(stream_length)  # records of chunks the checkpoint lacks
         starts = range(state["cursor"], total + 1, chunk_size)
         tasks = [
             (n, d, field.p, s, min(s + chunk_size - 1, total), bound, symmetry)
@@ -349,10 +360,11 @@ def verify_range(
             for partial in results:
                 state = _merge(state, partial)
                 if stream is not None:
-                    lines = _stream_lines(n, monomials, partial, state["running_max"])
-                    stream.writelines(lines)
+                    for line in _stream_lines(n, monomials, partial, state["running_max"]):
+                        stream.write(line)
+                        sha.update(line)
                     stream.flush()
-                    mark = {"stream_length": stream.tell()}
+                    mark = {"stream_length": stream.tell(), "stream_sha256": sha.hexdigest()}
                 if checkpoint_path is not None:
                     _write_checkpoint(checkpoint_path, {**stamp, **state, **mark})
         except BaseException:

@@ -168,7 +168,8 @@ def nk_betti_masks(gens: tuple[int, ...], d: int, k: int, field: FieldSpec) -> b
     """Betti criterion on generator bitmasks, all of degree d: no Betti
     number at ideal index i < k off the linear degree i + d."""
     # the slot of H~_{idx-1} on sigma has ideal index m - idx - 1 and row
-    # idx + 1 >= d; capping the row at d + 1 ends a GF(p) scan at the first hit
+    # idx + 1 >= d; capping the row at d + 1 ends the scan at the first
+    # confirmed hit
     def row(m, idx):
         return min(idx + 1, d + 1) if m - idx <= k else 0
 

@@ -9,6 +9,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+# minimal 6-vertex triangulation of the real projective plane: 10 facets,
+# every edge in exactly two triangles, Euler characteristic 1
+RP2_FACETS = [
+    (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+    (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
+]
+
 
 def popcount(x: int) -> int:
     return x.bit_count()

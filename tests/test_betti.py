@@ -6,6 +6,7 @@ import random
 
 import pytest
 from oracles import (
+    RP2_FACETS,
     minimalize,
     oracle_quotient_betti,
     random_gens,
@@ -184,6 +185,103 @@ class TestPrunedScan:
                     assert unpruned_nk_betti(gens, d, k, field) == want
         assert verdicts == {True, False}
 
+    def test_torsion_hits_mid_walk(self, monkeypatch):
+        """Ideals holding the RP^2 face ideal on six of their variables, plus
+        seeded extra generators: GF(2) sees 2-torsion that Q does not, on
+        sigma met mid-walk, and the scan over Q refuses those hits there.
+        Extras on the other variables keep the torsion in the answer (the
+        Betti table of a sum in disjoint variables is a tensor product); a
+        degree-3 extra anywhere may hide it."""
+        from monomial_lab import betti
+        from monomial_lab.transversals import minimal_transversals
+
+        facets = [sum(1 << (v - 1) for v in f) for f in RP2_FACETS]
+        rp2 = minimal_transversals([0b111111 ^ f for f in facets])
+        confirm, refused = betti.exact_rational_hq, []
+
+        def spy(m, local, q):
+            h = confirm(m, local, q)
+            if not h:
+                refused.append(m)
+            return h
+
+        monkeypatch.setattr(betti, "exact_rational_hq", spy)
+        rng = random.Random(32)
+        counts = {"reg/pd": 0, "nk": 0, "mid-walk": 0}
+        for trial in range(16):
+            complexes.clear_caches()
+            refused.clear()
+            n = rng.randint(7, 8)
+            where = rng.sample(range(n), 6)
+            others = [b for b in range(n) if b not in where]
+            embedded = [sum(1 << where[b] for b in range(6) if g >> b & 1) for g in rp2]
+            if trial % 2:  # pure of degree 3, for the N_k criterion
+                d = 3
+                extra = [random_mask(rng, n, 3) for _ in range(rng.randint(1, 2))]
+            else:
+                d = None
+                extra = [sum(1 << b for b in rng.sample(others, rng.randint(1, len(others))))
+                         for _ in range(rng.randint(1, 2))]
+                if trial % 4:
+                    extra.append(random_mask(rng, n, 3))
+            gens = minimalize(embedded + extra)
+            supp = 0
+            for g in gens:
+                supp |= g
+            shuffled = list(gens)
+            rng.shuffle(shuffled)
+            answers = {}
+            for field, p in FIELDS[:2]:
+                coarse, _ = oracle_quotient_betti(gens, n, p)
+                want_reg = max(j - i for (i, j) in coarse if i >= 1) + 1
+                want_pd = max(i for (i, _) in coarse)
+                assert regularity_masks(tuple(shuffled), field) == want_reg
+                assert unpruned_regularity(gens, field) == want_reg
+                assert projective_dimension_masks(tuple(shuffled), field) == want_pd
+                assert unpruned_projective_dimension(gens, field) == want_pd
+                answers[p] = [want_reg, want_pd]
+                for k in (1, 2, 3) if d else ():
+                    want = all(j == i - 1 + d for (i, j) in coarse if 1 <= i <= k)
+                    assert nk_betti_masks(tuple(shuffled), d, k, field) == want
+                    assert unpruned_nk_betti(gens, d, k, field) == want
+                    answers[p].append(want)
+            counts["nk" if d else "reg/pd"] += answers[None] != answers[2]
+            # the walk starts at the whole support; a refusal below it is mid-walk
+            counts["mid-walk"] += any(m < supp.bit_count() for m in refused)
+        assert counts["reg/pd"] >= 4 and counts["nk"] >= 2 and counts["mid-walk"] >= 6, counts
+
+
+class TestSaturatedWalk:
+    def test_raised_floor_lists_no_smaller_sigma(self):
+        """Once the floor is raised after the first yield, no sigma below it
+        has its restricted generators listed."""
+        from monomial_lab.betti import _saturated_sigmas
+
+        listed = []
+
+        class Spy(int):
+            def __and__(self, other):  # g & ~sigma, while listing sigma's generators
+                listed.append(~other)
+                return int(self) & other
+
+        rng = random.Random(33)
+        for _ in range(20):
+            n = rng.randint(4, 8)
+            gens = random_gens(rng, n, rng.randint(2, 8))
+            supp = 0
+            for g in gens:
+                supp |= g
+            full = list(_saturated_sigmas(gens, supp))
+            floor = [0]
+            walk = _saturated_sigmas([Spy(g) for g in gens], supp, floor)
+            first, _ = next(walk)
+            floor[0] = rng.randint(1, supp.bit_count())
+            listed.clear()
+            rest = [sigma for sigma, _ in walk]
+            assert all(sigma.bit_count() >= floor[0] for sigma in listed)
+            assert [first] + rest == [full[0][0]] + [
+                sigma for sigma, _ in full[1:] if sigma.bit_count() >= floor[0]]
+
 
 class TestRegularity:
     def test_examples(self):
@@ -286,9 +384,7 @@ class TestCharacteristicSensitivity:
         from monomial_lab.complexes import SimplicialComplex, stanley_reisner
         from monomial_lab.transversals import minimal_transversals
 
-        facets = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-                  (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
-        C = SimplicialComplex.from_vertex_sets(6, facets)
+        C = SimplicialComplex.from_vertex_sets(6, RP2_FACETS)
         full = (1 << 6) - 1
         I = Ideal.from_masks(6, minimal_transversals([full ^ f for f in C.facets]))
         assert stanley_reisner(I) == C

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 from oracles import (
+    RP2_FACETS,
     faces_from_facets,
     faces_from_nonfaces,
     fraction_rank,
@@ -31,13 +32,6 @@ from monomial_lab.complexes import (
 )
 from monomial_lab.core import Ideal, InputError, Monomial, canon_key, minimal_generators
 from monomial_lab.exact_rank import rank_bareiss, rank_f2_columns, rank_mod_p
-
-# minimal 6-vertex triangulation of the real projective plane: 10 facets,
-# every edge in exactly two triangles, Euler characteristic 1
-RP2_FACETS = [
-    (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-    (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
-]
 
 
 def ideal(n, *var_tuples):
@@ -188,18 +182,24 @@ class TestHomology:
                 assert reduced_homology_dims(C, FieldSpec(p)) == over_q
 
 
-# Runs under `python -O`: regularity of two disjoint edges (reg 3, found by a
-# GF(2) candidate confirmed over Q), then the same with the GF(2) ranks
-# skewed so the Euler characteristics disagree, and with a rational rank
-# too large for the face count.
+# Runs under `python -O`: regularity of two disjoint edges (reg 3, a GF(2)
+# hit confirmed over Q as the walk meets it) and of the RP^2 face ideal (reg
+# 3 over Q: the GF(2) hit at row 4 is 2-torsion, refused by the
+# confirmation), then two disjoint edges with the GF(2) ranks skewed so the
+# Euler characteristics disagree, and with a rational rank too large for the
+# face count.
 FORCED_MISMATCH = """
 import sys
 from monomial_lab import complexes
 from monomial_lab.betti import regularity
 from monomial_lab.core import Ideal, InternalCheckError
+from monomial_lab.transversals import minimal_transversals
 
 I = Ideal.from_masks(4, (0b0011, 0b1100))
 print("optimize", sys.flags.optimize, "reg", regularity(I))
+facets = [sum(1 << (v - 1) for v in f) for f in %r]
+rp2 = Ideal.from_masks(6, minimal_transversals([0b111111 ^ f for f in facets]))
+print("rp2 reg", regularity(rp2))
 f2_counts_ranks = complexes._f2_counts_ranks
 patches = {
     "euler": ("_f2_counts_ranks",
@@ -217,7 +217,7 @@ for label, (name, fake) in patches.items():
         print(label, "raised", type(exc).__name__)
     finally:
         setattr(complexes, name, orig)
-"""
+""" % (RP2_FACETS,)
 
 
 class TestChecksSurviveOptimize:
@@ -227,8 +227,9 @@ class TestChecksSurviveOptimize:
         proc = subprocess.run([sys.executable, "-O", "-c", FORCED_MISMATCH],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:3] == [
+        assert proc.stdout.split("\n")[:4] == [
             "optimize 1 reg 3",
+            "rp2 reg 3",
             "euler raised InternalCheckError",
             "negative raised InternalCheckError",
         ]

@@ -235,6 +235,24 @@ class TestVerifyRange:
                      stream_path=str(stream), resume=True)
         assert stream.read_bytes() == short * 3
 
+    def test_resume_refuses_another_longer_stream(self, tmp_path):
+        """A finished checkpoint resumed with an unrelated file longer than
+        its recorded stream raises, and leaves that file as it was."""
+        ck, stream = str(tmp_path / "ck.json"), tmp_path / "s.jsonl"
+        verify_range(4, 2, checkpoint_path=ck, stream_path=str(stream))
+        written = stream.read_bytes()
+        assert json.loads((tmp_path / "ck.json").read_text())["stream_length"] == len(written)
+        other = tmp_path / "other.bin"
+        data = bytes(random.Random(41).randrange(256) for _ in range(10_000))
+        other.write_bytes(data)
+        with pytest.raises(CheckpointError, match="does not begin"):
+            verify_range(4, 2, checkpoint_path=ck, stream_path=str(other), resume=True)
+        assert other.read_bytes() == data
+        # its own stream, with bytes past the recorded length, still resumes
+        stream.write_bytes(written + data)
+        verify_range(4, 2, checkpoint_path=ck, stream_path=str(stream), resume=True)
+        assert stream.read_bytes() == written
+
     def test_symmetry_modes(self):
         base = verify_range(4, 2)
         dedup = verify_range(4, 2, symmetry="dedupe")
