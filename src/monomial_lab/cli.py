@@ -386,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", cmd_verify, help="exhaustive bound verification")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("MONOMIAL_LAB_JOBS", "1")))
+    # argparse converts a string default only when `verify` runs without --jobs
+    p.add_argument("--jobs", type=int, default=os.environ.get("MONOMIAL_LAB_JOBS", "1"))
     p.add_argument("--checkpoint")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--chunk-size", type=int, default=4096, dest="chunk_size")

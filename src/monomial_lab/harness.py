@@ -117,9 +117,9 @@ def _index_perms(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     return result
 
 
-def canonical_subset_index(index: int, perms) -> int:
-    """Lexicographically least subset index over all variable permutations."""
-    best = index
+def _least_in_orbit(index: int, perms) -> bool:
+    """Whether `index` is the least subset index in its orbit under the
+    variable permutations `perms`; stops at the first one that maps it lower."""
     for arr in perms:
         mapped = 0
         rem = index
@@ -127,9 +127,9 @@ def canonical_subset_index(index: int, perms) -> int:
             low = rem & -rem
             rem ^= low
             mapped |= 1 << arr[low.bit_length() - 1]
-        if mapped < best:
-            best = mapped
-    return best
+        if mapped < index:
+            return False
+    return True
 
 
 # --- exhaustive verification ---------------------------------------------------
@@ -179,15 +179,16 @@ def _verify_chunk(task):
     n, d, fieldp, start, end, bound, symmetry = task
     monomials = degree_monomial_masks(n, d)
     field = FieldSpec(fieldp)
-    perms = _index_perms(n, d) if symmetry == "skip" else None
+    indices = range(start, end + 1)
+    if symmetry == "skip":
+        perms = _index_perms(n, d)
+        indices = [index for index in indices if _least_in_orbit(index, perms)]
     checked = 0
     n2_count = 0
     max_reg = -1
     extremal: list[int] = []
     violations: list[tuple[int, int]] = []
-    for index in range(start, end + 1):
-        if perms is not None and canonical_subset_index(index, perms) != index:
-            continue
+    for index in indices:
         checked += 1
         gens = _subset_gens(monomials, index)
         ok, _ = n2_verdict_masks(gens, d)
@@ -379,16 +380,12 @@ def verify_range(
             stream.close()
 
     extremal_idx = state["extremal_so_far"]
-    if symmetry == "dedupe" and extremal_idx:
+    if symmetry == "dedupe":
+        # reg and N_2 are invariant under relabelling, so the extremal ideals
+        # are whole orbits in increasing index order: keeping each orbit's
+        # least index keeps its first member
         perms = _index_perms(n, d)
-        seen = set()
-        deduped = []
-        for idx in extremal_idx:
-            canon = canonical_subset_index(idx, perms)
-            if canon not in seen:
-                seen.add(canon)
-                deduped.append(idx)
-        extremal_idx = deduped
+        extremal_idx = [idx for idx in extremal_idx if _least_in_orbit(idx, perms)]
 
     extremal = tuple(
         Ideal.from_masks(n, _subset_gens(monomials, idx)) for idx in extremal_idx

@@ -8,9 +8,16 @@ from .core import canon_key
 def minimal_transversals(masks) -> tuple[int, ...]:
     """All inclusion-minimal bitmasks meeting every set in `masks`.
 
-    Incremental construction: process one set at a time, extend the
-    transversals that miss it by one element each, prune non-minimal
-    candidates.  Exponential in the worst case, fine at desk scale.
+    Berge's incremental construction: `partial` is exactly the family of
+    minimal transversals of the sets processed so far.  For the next set
+    s, keep the members that hit s and extend each member t that misses
+    s by one element v of s, dropping an extension that contains a kept
+    member.  No further filter is needed: two distinct extensions t|v
+    and t'|v' are neither equal nor nested, since each t misses s and
+    the old members form an antichain; an extension cannot lie inside a
+    kept member h, since t would then be a smaller transversal than h of
+    the earlier sets; and a kept member inside an extension is what the
+    check drops.  Exponential in the worst case, fine at desk scale.
     For an empty family the unique minimal transversal is the empty set.
     """
     partial: list[int] = [0]
@@ -21,22 +28,13 @@ def minimal_transversals(masks) -> tuple[int, ...]:
         miss = []
         for t in partial:
             (hit if t & s else miss).append(t)
-        candidates = list(hit)
+        partial = list(hit)
         for t in miss:
             rem = s
             while rem:
                 low = rem & -rem
                 rem ^= low
                 cand = t | low
-                # cand is non-minimal iff it contains a transversal that
-                # already hits s; extensions of other missed sets cannot
-                # be contained in cand unless a hit-member is.
                 if not any(h & ~cand == 0 for h in hit):
-                    candidates.append(cand)
-        # dedup + antichain
-        uniq = sorted(set(candidates), key=canon_key)
-        partial = []
-        for c in uniq:
-            if not any(p & ~c == 0 for p in partial):
-                partial.append(c)
+                    partial.append(cand)
     return tuple(sorted(partial, key=canon_key))

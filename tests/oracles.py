@@ -194,6 +194,22 @@ def taylor_counts(gens):
     return out
 
 
+def oracle_canonical_subset_index(index: int, perms) -> int:
+    """Least subset index over all images of `index` under `perms` (each
+    a permutation of monomial positions), by trying every one."""
+    best = index
+    for arr in perms:
+        mapped = 0
+        rem = index
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            mapped |= 1 << arr[low.bit_length() - 1]
+        if mapped < best:
+            best = mapped
+    return best
+
+
 def random_mask(rng: random.Random, n: int, degree: int) -> int:
     m = 0
     for b in rng.sample(range(n), degree):

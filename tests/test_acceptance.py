@@ -15,6 +15,7 @@ Everything else passes.  The README's verification notes summarize this.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -23,6 +24,7 @@ import time
 import pytest
 from oracles import random_gens
 
+import monomial_lab
 from monomial_lab.betti import projective_dimension, regularity
 from monomial_lab.bounds import f_bound, g_bound, sharp_example, theorem_bound
 from monomial_lab.complexes import (
@@ -54,10 +56,11 @@ def report(criterion: str, ok: bool, detail: str = "") -> bool:
 
 def test_criterion_01_paper_table_reproduction():
     t0 = time.monotonic()
+    src = os.path.dirname(os.path.dirname(monomial_lab.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "monomial_lab.cli", "--json", "bound",
          "--d", "5", "--table", "--n-max", "15"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
     elapsed = time.monotonic() - t0
     doc = json.loads(proc.stdout)

@@ -2,11 +2,13 @@
 schemas, and the file format."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import monomial_lab
 from monomial_lab.cli import main
 from monomial_lab.core import format_ideal, parse_ideal
 from monomial_lab.harness import remark_example
@@ -226,9 +228,10 @@ class TestPaperSuite:
 
 class TestEntryPoint:
     def test_module_invocation(self, remark_file):
+        src = os.path.dirname(os.path.dirname(monomial_lab.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "monomial_lab.cli", "reg", remark_file],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0 and proc.stdout.strip() == "4"
 
@@ -247,6 +250,17 @@ class TestEntryPoint:
         finally:
             monkeypatch.delenv("MONOMIAL_LAB_JOBS")
             importlib.reload(cli_module)
+
+    def test_bad_jobs_env_fails_verify_only(self, capsys, monkeypatch):
+        """A non-integer MONOMIAL_LAB_JOBS is a usage error of `verify`
+        (exit 2) and is not read by any other command."""
+        monkeypatch.setenv("MONOMIAL_LAB_JOBS", "abc")
+        code, out, _ = run_cli(capsys, "bound", "--d", "2", "--n", "5")
+        assert code == 0 and out
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "4", "--d", "2"])
+        assert exc.value.code == 2
+        assert "abc" in capsys.readouterr().err
 
     def test_internal_error_exits_3(self, capsys, tmp_path, monkeypatch):
         from monomial_lab import cli as cli_module

@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from oracles import oracle_dual, random_gens
+from oracles import oracle_dual, random_gens, random_mask
 
 from monomial_lab.betti import projective_dimension, regularity
 from monomial_lab.bounds import faltings_bound, sharp_example
@@ -37,6 +37,43 @@ class TestTransversals:
             if not gens:
                 continue
             assert minimal_transversals(gens) == oracle_dual(gens, n)
+
+    def test_families_that_are_not_antichains(self):
+        """Duplicate, nested and singleton sets in any order, up to n = 10:
+        the output is the subset scan's, a duplicate-free antichain."""
+        rng = random.Random(7)
+        for trial in range(300):
+            n = rng.randint(1, 10)
+            family = [random_mask(rng, n, rng.randint(1, n)) for _ in range(rng.randint(1, 6))]
+            for _ in range(rng.randint(0, 6)):
+                base = rng.choice(family)
+                kind = rng.randrange(4)
+                if kind == 0:  # duplicate
+                    family.append(base)
+                elif kind == 1:  # superset
+                    family.append(base | random_mask(rng, n, rng.randint(0, n)))
+                elif kind == 2:  # base less its lowest element, if that leaves any
+                    family.append(base & (base - 1) or base)
+                else:  # singleton
+                    family.append(random_mask(rng, n, 1))
+            rng.shuffle(family)
+            got = minimal_transversals(family)
+            assert got == oracle_dual(family, n), (trial, family)
+            assert len(set(got)) == len(got)
+            assert not any(a != b and a & ~b == 0 for a in got for b in got)
+
+    def test_edge_families(self):
+        assert minimal_transversals([0b101, 0b101, 0b101]) == (0b001, 0b100)
+        assert minimal_transversals([0b1, 0b11, 0b111]) == (0b1,)
+        assert minimal_transversals([0b111, 0b11, 0b1]) == (0b1,)
+        assert minimal_transversals([0b1, 0b10, 0b100]) == (0b111,)
+        full = (1 << 10) - 1
+        assert minimal_transversals([full]) == tuple(1 << i for i in range(10))
+
+    def test_empty_set_raises(self):
+        for family in ([0], [0b11, 0], [0b1, 0b1, 0, 0b10], [0b111, 0b1, 0]):
+            with pytest.raises(ValueError):
+                minimal_transversals(family)
 
 
 class TestAlexanderDual:

@@ -1,19 +1,20 @@
 """Enumeration, exhaustive verification with checkpoints and parallelism,
 the built-in golden example, and the gcd witness sweep."""
 
+import hashlib
 import json
 import math
 import random
 from multiprocessing import get_context
 
 import pytest
+from oracles import oracle_canonical_subset_index
 
 from monomial_lab.betti import regularity
 from monomial_lab.complexes import GF2, RATIONALS
 from monomial_lab.core import CapacityError, Ideal, InputError, Monomial
 from monomial_lab.harness import (
     CheckpointError,
-    canonical_subset_index,
     degree_monomial_masks,
     enumerate_pure_ideals,
     gcd_lemma_sweep,
@@ -21,6 +22,7 @@ from monomial_lab.harness import (
     remark_example,
     verify_range,
     _index_perms,
+    _least_in_orbit,
 )
 from monomial_lab.linearity import is_N2_graph, is_Nk_betti
 
@@ -53,6 +55,23 @@ class TestEnumeration:
     def test_every_subset_is_minimal(self):
         for I in enumerate_pure_ideals(4, 2):
             assert I.pure_degree() == 2  # constructor enforces the antichain
+
+
+# sha256 of verify_range(n, d, symmetry=..., chunk_size=1000).to_json()
+SUMMARY_SHA256 = [
+    (4, 2, "off", "9b59b6a1cfaf392598a59a9bd50f8b0a784a106b20bd64811a4a957fb322e9c8"),
+    (4, 2, "dedupe", "178ea25df851d60a4bb1e8d0f3c0ca8ccfc86eeb2f4e5916b8c7b6f028b9aa52"),
+    (4, 2, "skip", "df7166daa8186aea44f94cc6b134dfddc73101595d1e1a50511e81cfb91d582a"),
+    (5, 2, "off", "5c1b1fb1272f65485bbcd1c3714f2a6b09c9f59400a5b636c30e41723ff6c266"),
+    (5, 2, "dedupe", "75082d14c9658f8e8d49708062a166458c09940b3af62738761730b8d5c6c832"),
+    (5, 2, "skip", "80654b9cb6fa0f1faa9743b8e6c914a0c5f5bb65f7c0b2a3edf05a9ba119ca34"),
+    (5, 3, "off", "cda3d349a3b911a26f82de2f4464659dfd7d11d261599fc89045e4cba9a6544a"),
+    (5, 3, "dedupe", "50ee26fb6ed39813c598dacfb211b751c2680bc778785dabff5659734b9209e9"),
+    (5, 3, "skip", "16f25e899cd299db05eac810137421f835776b19cfd91a4dbabb250ca3800f0b"),
+    (4, 3, "off", "2f000854f10ea475c70bd8a584b231c17cc50df52ae1147ce976fe72ff6ee073"),
+    (4, 3, "dedupe", "fbf47b921842043d5440125bd0f2dac28ecc4c35c6384462b36b9cebe0687f7f"),
+    (4, 3, "skip", "cc4912acc777e2dcc1ef016755eeeb9c2342a6d28bc9b91cda8cecfe4c77d6f7"),
+]
 
 
 class TestVerifyRange:
@@ -270,6 +289,12 @@ class TestVerifyRange:
         assert q.checked == f2.checked
         assert f2.field == "GF(2)"
 
+    @pytest.mark.parametrize("n,d,symmetry,digest", SUMMARY_SHA256)
+    def test_symmetry_summary_pinned(self, n, d, symmetry, digest):
+        """The summary bytes of every symmetry mode, frozen."""
+        got = verify_range(n, d, symmetry=symmetry, chunk_size=1000).to_json()
+        assert hashlib.sha256(got.encode()).hexdigest() == digest
+
     def test_symmetry_needs_small_n(self):
         with pytest.raises(InputError):
             verify_range(8, 2, symmetry="skip")
@@ -279,7 +304,22 @@ class TestVerifyRange:
         pool = degree_monomial_masks(4, 2)
         # the singleton {x3x4} maps to the singleton {x1x2} under relabeling
         hi = 1 << pool.index(0b1100)
-        assert canonical_subset_index(hi, perms) == 1
+        assert not _least_in_orbit(hi, perms)
+        assert _least_in_orbit(1, perms)
+        assert oracle_canonical_subset_index(hi, perms) == 1
+
+    @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (5, 3), (4, 3)])
+    def test_least_in_orbit_against_orbit_minimum(self, n, d):
+        perms = _index_perms(n, d)
+        for index in range(1, 1 << len(degree_monomial_masks(n, d))):
+            least = oracle_canonical_subset_index(index, perms) == index
+            assert _least_in_orbit(index, perms) == least, index
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_skip_6_2_summary_pinned(self, jobs):
+        got = verify_range(6, 2, jobs=jobs, symmetry="skip", chunk_size=1000).to_json()
+        assert hashlib.sha256(got.encode()).hexdigest() == (
+            "1c968ffa2d2ee2301789d460e145d1ca1868c5e53a43072348757088657e9b9a")
 
 
 class TestRemarkExample:
