@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--chunk-size", type=int, default=4096, dest="chunk_size")
-    p.add_argument("--symmetry", choices=["off", "dedupe", "skip"], default="off")
+    p.add_argument("--symmetry", choices=["off", "orbits"], default="off")
     p.add_argument("--stream", help="append JSON-lines records to this path")
 
     p = add("gcd-sweep", cmd_gcd_sweep, help="exhaustive gcd witness sweep")

@@ -286,19 +286,23 @@ def truncation(I: Ideal, d: int) -> Ideal:
         raise InputError(f"truncation degree must be a positive integer, got {d!r}")
     if d > I.ambient:
         raise InputError(f"truncation degree {d} exceeds ambient {I.ambient}")
-    n = I.ambient
     found: set[int] = set()
     for g in I.gens:
-        k = g.degree
-        if k > d:
-            continue
-        rest = [i for i in range(n) if not g.mask >> i & 1]
-        for extra in itertools.combinations(rest, d - k):
-            m = g.mask
-            for i in extra:
-                m |= 1 << i
-            found.add(m)
-    return Ideal.from_masks(n, sorted(found, key=canon_key))
+        if g.degree <= d:
+            found.update(squarefree_multiples(g.mask, I.ambient, d))
+    return Ideal.from_masks(I.ambient, sorted(found, key=canon_key))
+
+
+def squarefree_multiples(mask: int, n: int, d: int) -> tuple[int, ...]:
+    """The degree-d squarefree multiples of `mask` (of degree <= d) on n variables."""
+    rest = [i for i in range(n) if not mask >> i & 1]
+    out = []
+    for extra in itertools.combinations(rest, d - mask.bit_count()):
+        m = mask
+        for i in extra:
+            m |= 1 << i
+        out.append(m)
+    return tuple(out)
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:

@@ -24,7 +24,15 @@ from multiprocessing import get_context
 from .betti import regularity_masks
 from .bounds import theorem_bound
 from .complexes import RATIONALS, FieldSpec
-from .core import CapacityError, Ideal, InputError, Monomial, canon_key
+from .core import (
+    CapacityError,
+    Ideal,
+    InputError,
+    Monomial,
+    _check_ambient,
+    canon_key,
+    squarefree_multiples,
+)
 from .linearity import n2_verdict_masks
 
 MAX_SUBSET_SPACE = 63  # subset indices must fit a machine word
@@ -63,32 +71,27 @@ def _subset_gens(monomials: tuple[int, ...], index: int) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def enumerate_pure_ideals(n: int, d: int, visitor=None):
-    """Every ideal generated by a nonempty set of degree-d monomials,
-    visited once in increasing subset-index order.
-
-    With a visitor callable, applies it to each ideal and returns the
-    count; otherwise returns a generator.
-    """
+def enumerate_pure_ideals(n: int, d: int):
+    """Every ideal generated by a nonempty set of degree-d monomials, as a
+    generator in increasing subset-index order."""
     monomials = _capacity_checked(n, d)
     total = (1 << len(monomials)) - 1
-
-    def produce():
-        for index in range(1, total + 1):
-            yield Ideal.from_masks(n, _subset_gens(monomials, index))
-
-    if visitor is None:
-        return produce()
-    count = 0
-    for ideal in produce():
-        visitor(ideal)
-        count += 1
-    return count
+    return (Ideal.from_masks(n, _subset_gens(monomials, index)) for index in range(1, total + 1))
 
 
 # --- symmetry reduction -------------------------------------------------------
 
 _PERM_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+
+
+def _image(mask: int, arr) -> int:
+    """`mask` with each set bit i moved to bit arr[i]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= 1 << arr[low.bit_length() - 1]
+    return out
 
 
 def _index_perms(n: int, d: int) -> tuple[tuple[int, ...], ...]:
@@ -100,36 +103,28 @@ def _index_perms(n: int, d: int) -> tuple[tuple[int, ...], ...]:
         return cached
     monomials = degree_monomial_masks(n, d)
     index_of = {m: i for i, m in enumerate(monomials)}
-    perms = []
-    for p in itertools.permutations(range(n)):
-        arr = []
-        for m in monomials:
-            nm = 0
-            rem = m
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                nm |= 1 << p[low.bit_length() - 1]
-            arr.append(index_of[nm])
-        perms.append(tuple(arr))
-    result = tuple(perms)
+    result = tuple(
+        tuple(index_of[_image(m, p)] for m in monomials)
+        for p in itertools.permutations(range(n))
+    )
     _PERM_CACHE[key] = result
     return result
 
 
-def _least_in_orbit(index: int, perms) -> bool:
-    """Whether `index` is the least subset index in its orbit under the
-    variable permutations `perms`; stops at the first one that maps it lower."""
+def _orbit_size(index: int, perms) -> int:
+    """The size of the orbit of subset index `index` under the variable
+    permutations `perms` if `index` is the least index in it, else 0.
+
+    Stops at the first permutation that maps the index lower.  A least
+    index goes through all of them, and its orbit size is len(perms) over
+    the number of permutations that fix it (orbit-stabilizer)."""
+    fixed = 0
     for arr in perms:
-        mapped = 0
-        rem = index
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            mapped |= 1 << arr[low.bit_length() - 1]
+        mapped = _image(index, arr)
         if mapped < index:
-            return False
-    return True
+            return 0
+        fixed += mapped == index
+    return len(perms) // fixed
 
 
 # --- exhaustive verification ---------------------------------------------------
@@ -180,21 +175,24 @@ def _verify_chunk(task):
     monomials = degree_monomial_masks(n, d)
     field = FieldSpec(fieldp)
     indices = range(start, end + 1)
-    if symmetry == "skip":
+    if symmetry == "orbits":
+        # each orbit's least index is checked once and counted for its orbit
         perms = _index_perms(n, d)
-        indices = [index for index in indices if _least_in_orbit(index, perms)]
+        weighted = [(index, size) for index in indices if (size := _orbit_size(index, perms))]
+    else:
+        weighted = zip(indices, itertools.repeat(1))
     checked = 0
     n2_count = 0
     max_reg = -1
     extremal: list[int] = []
     violations: list[tuple[int, int]] = []
-    for index in indices:
-        checked += 1
+    for index, weight in weighted:
+        checked += weight
         gens = _subset_gens(monomials, index)
         ok, _ = n2_verdict_masks(gens, d)
         if not ok:
             continue
-        n2_count += 1
+        n2_count += weight
         reg = regularity_masks(gens, field)
         if reg > max_reg:
             max_reg = reg
@@ -202,7 +200,9 @@ def _verify_chunk(task):
         elif reg == max_reg:
             extremal.append(index)
         if reg > bound:
-            violations.append((index, reg))
+            # weight > 1 only under "orbits": the stream gets the orbit here
+            orbit = sorted({_image(index, arr) for arr in perms}) if weight > 1 else (index,)
+            violations += [(member, reg) for member in orbit]
     return {
         "start": start,
         "end": end,
@@ -301,15 +301,19 @@ def verify_range(
     regularity computed and compared against max(d, f(n, d)) at the
     ambient n.  The summary (including the extremal ideals and any
     violations) is byte-identical for any worker count and for
-    checkpointed-and-resumed runs.  The checkpoint records the stream's
-    length and hash; a resume refuses a stream at least that long whose
-    first bytes do not match, and cuts a matching one back.  An error while
-    merging (a failed checkpoint write, say) terminates the worker pool at
-    once instead of waiting for the queued chunks.
+    checkpointed-and-resumed runs.  With symmetry="orbits" (n <= 7), only
+    the least subset index of each orbit under the variable permutations is
+    checked, and it counts for its whole orbit: the counts and violations
+    are the labelled ones of "off", the extremal ideals one per orbit.  The
+    checkpoint records the stream's length and hash; a resume refuses a
+    stream at least that long whose first bytes do not match, and cuts a
+    matching one back.  An error while merging (a failed checkpoint write,
+    say) terminates the worker pool at once instead of waiting for the
+    queued chunks.
     """
-    if symmetry not in ("off", "dedupe", "skip"):
-        raise InputError(f"symmetry must be off|dedupe|skip, got {symmetry!r}")
-    if symmetry != "off" and n > 7:
+    if symmetry not in ("off", "orbits"):
+        raise InputError(f"symmetry must be off|orbits, got {symmetry!r}")
+    if symmetry == "orbits" and n > 7:
         raise InputError("symmetry reduction enumerates n! permutations; n <= 7 only")
     if jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs}")
@@ -379,20 +383,12 @@ def verify_range(
         if stream is not None:
             stream.close()
 
-    extremal_idx = state["extremal_so_far"]
-    if symmetry == "dedupe":
-        # reg and N_2 are invariant under relabelling, so the extremal ideals
-        # are whole orbits in increasing index order: keeping each orbit's
-        # least index keeps its first member
-        perms = _index_perms(n, d)
-        extremal_idx = [idx for idx in extremal_idx if _least_in_orbit(idx, perms)]
-
     extremal = tuple(
-        Ideal.from_masks(n, _subset_gens(monomials, idx)) for idx in extremal_idx
+        Ideal.from_masks(n, _subset_gens(monomials, idx)) for idx in state["extremal_so_far"]
     )
     violations = tuple(
         (Ideal.from_masks(n, _subset_gens(monomials, idx)), reg)
-        for idx, reg in state["violations"]
+        for idx, reg in sorted(state["violations"])  # an orbit comes with its least index
     )
     return EnumerationSummary(
         n=n,
@@ -462,21 +458,6 @@ class GcdSweepReport:
         return json.dumps(doc, sort_keys=True)
 
 
-def _degree_supersets(f: int, n: int, d: int, cache: dict) -> tuple[int, ...]:
-    got = cache.get(f)
-    if got is None:
-        rest = [i for i in range(n) if not f >> i & 1]
-        out = []
-        for extra in itertools.combinations(rest, d - f.bit_count()):
-            m = f
-            for i in extra:
-                m |= 1 << i
-            out.append(m)
-        got = tuple(out)
-        cache[f] = got
-    return got
-
-
 def gcd_lemma_sweep(n: int, d: int, field: FieldSpec = RATIONALS) -> GcdSweepReport:
     """Exhaustive witness check: for every pure degree-d ideal I and every
     squarefree f with 2 <= deg f <= d, I not inside (f), and the degree-d
@@ -490,10 +471,12 @@ def gcd_lemma_sweep(n: int, d: int, field: FieldSpec = RATIONALS) -> GcdSweepRep
     monomials = _capacity_checked(n, d)
     total = (1 << len(monomials)) - 1
     t0 = time.monotonic()
-    f_candidates = [
-        m for deg in range(2, d + 1) for m in degree_monomial_masks(n, deg)
-    ]
-    superset_cache: dict[int, tuple[int, ...]] = {}
+    # the degree-d multiples of each f and of each gcd(f1, f), of degree >= 1
+    supersets = {
+        m: squarefree_multiples(m, n, d)
+        for deg in range(1, d + 1) for m in degree_monomial_masks(n, deg)
+    }
+    f_candidates = [f for f in supersets if f.bit_count() >= 2]
     pairs_checked = 0
     witnesses = 0
     violations: list[tuple[int, int]] = []
@@ -503,7 +486,7 @@ def gcd_lemma_sweep(n: int, d: int, field: FieldSpec = RATIONALS) -> GcdSweepRep
         for f in f_candidates:
             if all(f & ~g == 0 for g in gens):
                 continue  # I inside (f)
-            trunc_f = gen_set.union(_degree_supersets(f, n, d, superset_cache))
+            trunc_f = gen_set.union(supersets[f])
             ok, _ = n2_verdict_masks(tuple(sorted(trunc_f)), d)
             if not ok:
                 continue
@@ -514,7 +497,7 @@ def gcd_lemma_sweep(n: int, d: int, field: FieldSpec = RATIONALS) -> GcdSweepRep
                 g = f1 & f
                 if g.bit_count() != fd - 1:
                     continue
-                trunc_g = gen_set.union(_degree_supersets(g, n, d, superset_cache))
+                trunc_g = gen_set.union(supersets[g])
                 ok, _ = n2_verdict_masks(tuple(sorted(trunc_g)), d)
                 if ok:
                     found = True
@@ -577,8 +560,11 @@ def open_case_search(
     """Randomized search for high-regularity linearly presented ideals in
     ranges beyond exhaustive reach (preset of interest: n=10, d=4, where no
     example attaining the bound is known)."""
+    _check_ambient(n)
     if not 1 <= d <= n:
         raise InputError(f"need 1 <= d <= n, got d={d}, n={n}")
+    if samples < 0:
+        raise InputError(f"samples must be >= 0, got {samples}")
     monomials = degree_monomial_masks(n, d)
     bound = theorem_bound(n, d)
     rng = random.Random(seed)

@@ -194,20 +194,20 @@ def taylor_counts(gens):
     return out
 
 
+def oracle_orbit(index: int, perms) -> set[int]:
+    """Every image of subset index `index` under `perms` (each a
+    permutation of monomial positions)."""
+    return {sum(1 << j for i, j in enumerate(arr) if index >> i & 1) for arr in perms}
+
+
 def oracle_canonical_subset_index(index: int, perms) -> int:
-    """Least subset index over all images of `index` under `perms` (each
-    a permutation of monomial positions), by trying every one."""
-    best = index
-    for arr in perms:
-        mapped = 0
-        rem = index
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            mapped |= 1 << arr[low.bit_length() - 1]
-        if mapped < best:
-            best = mapped
-    return best
+    """Least subset index over all images of `index` under `perms`."""
+    return min(oracle_orbit(index, perms))
+
+
+def oracle_orbit_size(index: int, perms) -> int:
+    """Number of distinct images of `index` under `perms`."""
+    return len(oracle_orbit(index, perms))
 
 
 def random_mask(rng: random.Random, n: int, degree: int) -> int:

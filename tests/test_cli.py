@@ -186,6 +186,31 @@ class TestHarnessCommands:
         assert code == 0
         assert json.loads(out)["samples"] == 30
 
+    @pytest.mark.parametrize("argv", [["--n", "70", "--d", "2"],
+                                      ["--n", "5", "--d", "2", "--samples", "-5"]])
+    def test_search_bad_input_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "search", *argv)
+        assert code == 2 and not out and err.startswith("error:")
+
+    @pytest.mark.parametrize("mode", ["dedupe", "skip"])
+    def test_verify_removed_symmetry_modes_exit_2(self, capsys, mode):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "4", "--d", "2", "--symmetry", mode])
+        assert exc.value.code == 2
+        assert "orbits" in capsys.readouterr().err
+
+    def test_verify_refuses_checkpoint_of_removed_mode(self, capsys, tmp_path):
+        ck, stream = tmp_path / "ck.json", tmp_path / "s.jsonl"
+        argv = ["--json", "verify", "--n", "5", "--d", "2", "--symmetry", "orbits",
+                "--checkpoint", str(ck), "--stream", str(stream), "--chunk-size", "64"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1 and len(json.loads(out)["violations"]) == 12
+        ck.write_text(json.dumps({**json.loads(ck.read_text()), "symmetry": "dedupe"}))
+        written = stream.read_bytes()
+        code, out, err = run_cli(capsys, *argv, "--resume")
+        assert code == 2 and not out and "dedupe" in err
+        assert stream.read_bytes() == written
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys):

@@ -8,7 +8,7 @@ import random
 from multiprocessing import get_context
 
 import pytest
-from oracles import oracle_canonical_subset_index
+from oracles import oracle_canonical_subset_index, oracle_orbit_size
 
 from monomial_lab.betti import regularity
 from monomial_lab.complexes import GF2, RATIONALS
@@ -22,7 +22,7 @@ from monomial_lab.harness import (
     remark_example,
     verify_range,
     _index_perms,
-    _least_in_orbit,
+    _orbit_size,
 )
 from monomial_lab.linearity import is_N2_graph, is_Nk_betti
 
@@ -34,11 +34,6 @@ class TestEnumeration:
             Ideal(3, (Monomial.of(3, 1, 2, 3),))
         ]
         assert sum(1 for _ in enumerate_pure_ideals(5, 2)) == 1023
-
-    def test_visitor_mode(self):
-        seen = []
-        count = enumerate_pure_ideals(4, 2, visitor=seen.append)
-        assert count == 63 == len(seen)
 
     def test_capacity_error_names_count(self):
         with pytest.raises(CapacityError) as err:
@@ -60,17 +55,13 @@ class TestEnumeration:
 # sha256 of verify_range(n, d, symmetry=..., chunk_size=1000).to_json()
 SUMMARY_SHA256 = [
     (4, 2, "off", "9b59b6a1cfaf392598a59a9bd50f8b0a784a106b20bd64811a4a957fb322e9c8"),
-    (4, 2, "dedupe", "178ea25df851d60a4bb1e8d0f3c0ca8ccfc86eeb2f4e5916b8c7b6f028b9aa52"),
-    (4, 2, "skip", "df7166daa8186aea44f94cc6b134dfddc73101595d1e1a50511e81cfb91d582a"),
+    (4, 2, "orbits", "178ea25df851d60a4bb1e8d0f3c0ca8ccfc86eeb2f4e5916b8c7b6f028b9aa52"),
     (5, 2, "off", "5c1b1fb1272f65485bbcd1c3714f2a6b09c9f59400a5b636c30e41723ff6c266"),
-    (5, 2, "dedupe", "75082d14c9658f8e8d49708062a166458c09940b3af62738761730b8d5c6c832"),
-    (5, 2, "skip", "80654b9cb6fa0f1faa9743b8e6c914a0c5f5bb65f7c0b2a3edf05a9ba119ca34"),
+    (5, 2, "orbits", "75082d14c9658f8e8d49708062a166458c09940b3af62738761730b8d5c6c832"),
     (5, 3, "off", "cda3d349a3b911a26f82de2f4464659dfd7d11d261599fc89045e4cba9a6544a"),
-    (5, 3, "dedupe", "50ee26fb6ed39813c598dacfb211b751c2680bc778785dabff5659734b9209e9"),
-    (5, 3, "skip", "16f25e899cd299db05eac810137421f835776b19cfd91a4dbabb250ca3800f0b"),
+    (5, 3, "orbits", "50ee26fb6ed39813c598dacfb211b751c2680bc778785dabff5659734b9209e9"),
     (4, 3, "off", "2f000854f10ea475c70bd8a584b231c17cc50df52ae1147ce976fe72ff6ee073"),
-    (4, 3, "dedupe", "fbf47b921842043d5440125bd0f2dac28ecc4c35c6384462b36b9cebe0687f7f"),
-    (4, 3, "skip", "cc4912acc777e2dcc1ef016755eeeb9c2342a6d28bc9b91cda8cecfe4c77d6f7"),
+    (4, 3, "orbits", "fbf47b921842043d5440125bd0f2dac28ecc4c35c6384462b36b9cebe0687f7f"),
 ]
 
 
@@ -274,12 +265,11 @@ class TestVerifyRange:
 
     def test_symmetry_modes(self):
         base = verify_range(4, 2)
-        dedup = verify_range(4, 2, symmetry="dedupe")
-        skip = verify_range(4, 2, symmetry="skip")
-        assert dedup.max_reg == skip.max_reg == base.max_reg
-        assert len(dedup.extremal) < len(base.extremal)
-        assert skip.checked < base.checked
-        assert dedup.checked == base.checked  # dedupe never skips work
+        orbits = verify_range(4, 2, symmetry="orbits")
+        assert orbits.max_reg == base.max_reg
+        assert orbits.checked == base.checked == 63  # labelled counts
+        assert orbits.n2_count == base.n2_count
+        assert len(orbits.extremal) < len(base.extremal)
 
     def test_cross_field_stability(self):
         # the linear-presentation filter is field-free; only max_reg may move
@@ -297,29 +287,137 @@ class TestVerifyRange:
 
     def test_symmetry_needs_small_n(self):
         with pytest.raises(InputError):
-            verify_range(8, 2, symmetry="skip")
+            verify_range(8, 2, symmetry="orbits")
+
+    @pytest.mark.parametrize("symmetry", ["dedupe", "skip"])
+    def test_old_symmetry_modes_are_refused(self, symmetry):
+        with pytest.raises(InputError, match="off\\|orbits"):
+            verify_range(4, 2, symmetry=symmetry)
 
     def test_canonical_subset_index(self):
         perms = _index_perms(4, 2)
         pool = degree_monomial_masks(4, 2)
         # the singleton {x3x4} maps to the singleton {x1x2} under relabeling
         hi = 1 << pool.index(0b1100)
-        assert not _least_in_orbit(hi, perms)
-        assert _least_in_orbit(1, perms)
+        assert _orbit_size(hi, perms) == 0
+        assert _orbit_size(1, perms) == 6  # the six edges of K4
         assert oracle_canonical_subset_index(hi, perms) == 1
 
     @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (5, 3), (4, 3)])
     def test_least_in_orbit_against_orbit_minimum(self, n, d):
         perms = _index_perms(n, d)
-        for index in range(1, 1 << len(degree_monomial_masks(n, d))):
+        total = (1 << len(degree_monomial_masks(n, d))) - 1
+        sizes = 0
+        for index in range(1, total + 1):
             least = oracle_canonical_subset_index(index, perms) == index
-            assert _least_in_orbit(index, perms) == least, index
+            size = _orbit_size(index, perms)
+            assert bool(size) == least, index
+            if least:
+                assert size == oracle_orbit_size(index, perms), index
+            sizes += size
+        assert sizes == total  # the orbits partition the subset space
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_skip_6_2_summary_pinned(self, jobs):
-        got = verify_range(6, 2, jobs=jobs, symmetry="skip", chunk_size=1000).to_json()
+    def test_orbits_6_2_summary_pinned(self, jobs):
+        got = verify_range(6, 2, jobs=jobs, symmetry="orbits", chunk_size=1000).to_json()
         assert hashlib.sha256(got.encode()).hexdigest() == (
-            "1c968ffa2d2ee2301789d460e145d1ca1868c5e53a43072348757088657e9b9a")
+            "67e892bcae970079ecbf6ca5a769085e884539cd24eb9d5b1b6b2d49ac07a9a7")
+
+    @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (5, 3), (4, 3)])
+    def test_orbits_against_off(self, n, d):
+        """`orbits` reports the labelled counts and violations of `off`, and
+        the extremal ideals of `off` that are the least of their orbits."""
+        off = verify_range(n, d)
+        orbits = verify_range(n, d, symmetry="orbits", chunk_size=64)
+        assert orbits.checked == off.checked == off.total_ideals
+        assert orbits.n2_count == off.n2_count
+        assert orbits.max_reg == off.max_reg
+        assert orbits.violations == off.violations
+        assert len(orbits.violations) == (12 if (n, d) == (5, 2) else 0)
+        perms = _index_perms(n, d)
+        pool = degree_monomial_masks(n, d)
+
+        def index(ideal):
+            return sum(1 << pool.index(m) for m in ideal.gen_masks)
+
+        assert orbits.extremal == tuple(
+            I for I in off.extremal
+            if oracle_canonical_subset_index(index(I), perms) == index(I)
+        )
+
+    @pytest.mark.parametrize("n,d", [(5, 2), (4, 3)])
+    def test_orbits_against_off_with_lowered_bound(self, n, d, monkeypatch):
+        """With the bound lowered below d, every linearly presented ideal
+        violates it, so many orbits expand and their members interleave."""
+        from monomial_lab import harness
+
+        monkeypatch.setattr(harness, "theorem_bound", lambda n, d: d - 1)
+        off = verify_range(n, d)
+        orbits = verify_range(n, d, jobs=2, symmetry="orbits", chunk_size=64)
+        assert len(off.violations) == off.n2_count
+        assert orbits.violations == off.violations
+
+
+class TestOrbitsCampaign:
+    """Campaign files in `orbits` mode at (5,2) with chunks of 64, so that
+    the pentagon orbit's members fall outside its representative's chunk."""
+
+    @staticmethod
+    def run(tmp_path, name, jobs=1, resume=False):
+        ck, stream = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
+        summary = verify_range(5, 2, jobs=jobs, symmetry="orbits", chunk_size=64,
+                               checkpoint_path=str(ck), stream_path=str(stream),
+                               resume=resume)
+        return summary.to_json(), stream.read_bytes(), ck.read_bytes()
+
+    @staticmethod
+    def crash_at_write(monkeypatch, k, run):
+        """Run `run` with its k-th checkpoint write failing."""
+        from monomial_lab import harness
+
+        write = harness._write_checkpoint
+        calls = []
+
+        def fails(path, doc):
+            calls.append(path)
+            if len(calls) == k:
+                raise OSError("killed")
+            write(path, doc)
+
+        monkeypatch.setattr(harness, "_write_checkpoint", fails)
+        with pytest.raises(OSError, match="killed"):
+            run()
+        monkeypatch.undo()
+
+    def test_files_identical_across_jobs(self, tmp_path):
+        runs = [self.run(tmp_path, f"jobs{jobs}", jobs) for jobs in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
+        summary, stream, _ = runs[0]
+        pinned = {(n, d, mode): digest for n, d, mode, digest in SUMMARY_SHA256}
+        assert hashlib.sha256(summary.encode()).hexdigest() == pinned[5, 2, "orbits"]
+        records = [json.loads(line) for line in stream.splitlines()]
+        pentagons = [r["index"] for r in records if r["type"] == "violation"]
+        assert len(pentagons) == 12 and pentagons == sorted(pentagons)
+        assert 193 <= pentagons[0] <= 256  # the representative, in the 4th chunk
+        assert (pentagons[-1] - 1) // 64 > 3
+
+    @pytest.mark.parametrize("failing_write", [4, 6])
+    def test_resume_after_failed_checkpoint_write(self, tmp_path, monkeypatch, failing_write):
+        straight = self.run(tmp_path, "straight")
+        self.crash_at_write(monkeypatch, failing_write, lambda: self.run(tmp_path, "broken"))
+        assert self.run(tmp_path, "broken", resume=True) == straight
+
+    @pytest.mark.parametrize("old", ["dedupe", "skip"])
+    def test_refuses_checkpoint_of_removed_mode(self, tmp_path, monkeypatch, old):
+        """A half-finished checkpoint stamped with a removed mode holds
+        counts `orbits` cannot continue, and is refused by its stamp."""
+        self.crash_at_write(monkeypatch, 6, lambda: self.run(tmp_path, "old"))
+        ck, stream = tmp_path / "old.json", tmp_path / "old.jsonl"
+        ck.write_text(json.dumps({**json.loads(ck.read_text()), "symmetry": old}))
+        before = ck.read_bytes(), stream.read_bytes()
+        with pytest.raises(CheckpointError, match=old):
+            self.run(tmp_path, "old", resume=True)
+        assert (ck.read_bytes(), stream.read_bytes()) == before
 
 
 class TestRemarkExample:
