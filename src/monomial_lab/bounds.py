@@ -68,10 +68,10 @@ def faltings_bound(n: int, bigheight: int) -> int:
 
 
 def theorem_bound(n: int, d: int) -> int:
-    """max(d, f(n, d)), extended to d = 1 where both branches give 1."""
+    """max(d, f(n, d)); at d = 1 this is 1, as f(n, 1) <= 1."""
     if d < 1:
         raise InputError(f"need d >= 1, got {d}")
-    return max(d, _f(n, d)) if d >= 2 else 1
+    return max(d, _f(n, d))
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,7 @@ def _report(kind: str, I: Ideal, d: int, value: int, use_support: bool) -> Bound
     n_ambient = I.ambient
     n_support = I.supp_mask.bit_count()
     n = n_support if use_support else n_ambient
-    # d = 1 is allowed here: both formulas extend consistently (f = g = 1)
-    f_value = _f(n, d) if d >= 2 else 1
-    bound = max(d, f_value)
+    bound = theorem_bound(n, d)
     return BoundReport(
         kind=kind,
         n=n,
@@ -120,13 +118,13 @@ def _report(kind: str, I: Ideal, d: int, value: int, use_support: bool) -> Bound
         n_support=n_support,
         d=d,
         reg=value,
-        f_value=f_value,
-        g_value=_g(n, d) if d >= 2 else 1,
+        f_value=_f(n, d),
+        g_value=_g(n, d),
         bound=bound,
         theorem_holds=value <= bound,
         tight=value == bound,
         faltings_value=faltings_bound(n_ambient, height_profile(I).bigheight),
-        f_support=_f(n_support, d) if d >= 2 else 1,
+        f_support=_f(n_support, d),
     )
 
 

@@ -398,24 +398,13 @@ def reduced_homology_dims(C: SimplicialComplex, field: FieldSpec = RATIONALS) ->
     for f in C.facets:
         verts |= f
     m, local_facets = _remap(verts, C.facets)
-    bitmap = _face_bitmap_from_facets(m, local_facets)
-    # minimal non-faces: masks outside the bitmap all of whose maximal
-    # proper subsets are faces
-    nonfaces = []
-    for mask in range(1 << m):
-        if bitmap >> mask & 1:
-            continue
-        minimal = True
-        rem = mask
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            if not bitmap >> (mask ^ low) & 1:
-                minimal = False
-                break
-        if minimal:
-            nonfaces.append(mask)
-    prof = homology_profile(m, tuple(sorted(nonfaces, key=canon_key)), field)
+    nonfaces = ~_face_bitmap_from_facets(m, local_facets) & ((1 << (1 << m)) - 1)
+    # the minimal non-faces are the non-faces with no non-face one vertex smaller
+    above = 0
+    for pat, step in _bit_patterns(m):
+        above |= (nonfaces & pat) << step
+    minimal = _faces_by_size(m, nonfaces & ~above)  # canonical (size, mask) order
+    prof = homology_profile(m, tuple(g for group in minimal for g in group), field)
     out = {}
     top = C.dim
     for q in range(-1, top + 1):

@@ -33,7 +33,7 @@ from .core import (
     canon_key,
     squarefree_multiples,
 )
-from .linearity import n2_verdict_masks
+from .linearity import _gcd_witness_masks, _linear_after, n2_verdict_masks
 
 MAX_SUBSET_SPACE = 63  # subset indices must fit a machine word
 
@@ -358,7 +358,7 @@ def verify_range(
             pool = None
         else:
             ctx = get_context("fork")
-            pool = ctx.Pool(processes=jobs)
+            pool = ctx.Pool(processes=min(jobs, len(tasks)))
             results = pool.imap(_verify_chunk, tasks)
         try:
             mark = {}
@@ -476,42 +476,26 @@ def gcd_lemma_sweep(n: int, d: int, field: FieldSpec = RATIONALS) -> GcdSweepRep
         m: squarefree_multiples(m, n, d)
         for deg in range(1, d + 1) for m in degree_monomial_masks(n, deg)
     }
+    multiples = supersets.__getitem__
     f_candidates = [f for f in supersets if f.bit_count() >= 2]
     pairs_checked = 0
-    witnesses = 0
     violations: list[tuple[int, int]] = []
     for index in range(1, total + 1):
         gens = _subset_gens(monomials, index)
-        gen_set = set(gens)
         for f in f_candidates:
             if all(f & ~g == 0 for g in gens):
                 continue  # I inside (f)
-            trunc_f = gen_set.union(supersets[f])
-            ok, _ = n2_verdict_masks(tuple(sorted(trunc_f)), d)
-            if not ok:
+            if not _linear_after(gens, f, d, multiples):
                 continue
             pairs_checked += 1
-            found = False
-            fd = f.bit_count()
-            for f1 in gens:
-                g = f1 & f
-                if g.bit_count() != fd - 1:
-                    continue
-                trunc_g = gen_set.union(supersets[g])
-                ok, _ = n2_verdict_masks(tuple(sorted(trunc_g)), d)
-                if ok:
-                    found = True
-                    break
-            if found:
-                witnesses += 1
-            else:
+            if _gcd_witness_masks(gens, f, d, multiples) is None:
                 violations.append((index, f))
     return GcdSweepReport(
         n=n,
         d=d,
         ideals=total,
         pairs_checked=pairs_checked,
-        witnesses_found=witnesses,
+        witnesses_found=pairs_checked - len(violations),
         violations=tuple(
             (Ideal.from_masks(n, _subset_gens(monomials, idx)), Monomial(n, f))
             for idx, f in violations

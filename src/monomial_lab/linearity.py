@@ -12,6 +12,7 @@ same property (and the higher N_k) directly from vanishing of table rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .betti import _scan_max
 from .complexes import RATIONALS, FieldSpec
@@ -21,9 +22,7 @@ from .core import (
     Monomial,
     PreconditionError,
     TheoremViolationError,
-    gcd,
-    minimal_generators,
-    truncation,
+    squarefree_multiples,
 )
 
 
@@ -185,8 +184,21 @@ def is_Nk_betti(I: Ideal, k: int, field: FieldSpec = RATIONALS) -> bool:
     return nk_betti_masks(I.gen_masks, d, k, field)
 
 
-def _trunc_with(I: Ideal, extra: Monomial, d: int) -> Ideal:
-    return truncation(minimal_generators(list(I.gens) + [extra], ambient=I.ambient), d)
+def _linear_after(gens: tuple[int, ...], extra: int, d: int, multiples) -> bool:
+    """Whether gens together with the degree-d multiples of `extra` (listed
+    by `multiples(extra)`) are linearly presented."""
+    return n2_verdict_masks(tuple(sorted(set(gens).union(multiples(extra)))), d)[0]
+
+
+def _gcd_witness_masks(gens: tuple[int, ...], f: int, d: int, multiples):
+    """The first generator f1 with deg gcd(f1, f) = deg f - 1 whose gcd
+    keeps the degree-d truncation linearly presented, or None."""
+    fd = f.bit_count()
+    for f1 in gens:
+        g = f1 & f
+        if g.bit_count() == fd - 1 and _linear_after(gens, g, d, multiples):
+            return f1
+    return None
 
 
 def gcd_witness(I: Ideal, f: Monomial) -> tuple[Monomial, Monomial]:
@@ -205,18 +217,12 @@ def gcd_witness(I: Ideal, f: Monomial) -> tuple[Monomial, Monomial]:
         raise PreconditionError(f"need 2 <= deg f <= {d}, got {f.degree}")
     if all(f.mask & ~g.mask == 0 for g in I.gens):
         raise PreconditionError("I is contained in (f)")
-    J = _trunc_with(I, f, d)
-    ok, _ = n2_verdict_masks(J.gen_masks, d)
-    if not ok:
+    multiples = partial(squarefree_multiples, n=I.ambient, d=d)
+    if not _linear_after(I.gen_masks, f.mask, d, multiples):
         raise PreconditionError("truncation of I + (f) is not linearly presented")
-    for f1 in I.gens:
-        g = gcd(f1, f)
-        if g.degree != f.degree - 1:
-            continue
-        K = _trunc_with(I, g, d)
-        ok, _ = n2_verdict_masks(K.gen_masks, d)
-        if ok:
-            return f1, g
-    raise TheoremViolationError(
-        f"no gcd witness for I={I} and f={f}: hypotheses hold but every candidate fails"
-    )
+    f1 = _gcd_witness_masks(I.gen_masks, f.mask, d, multiples)
+    if f1 is None:
+        raise TheoremViolationError(
+            f"no gcd witness for I={I} and f={f}: hypotheses hold but every candidate fails"
+        )
+    return Monomial(I.ambient, f1), Monomial(I.ambient, f1 & f.mask)

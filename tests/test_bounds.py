@@ -209,6 +209,24 @@ REPORT_BYTES = [
      '{"bound": 3, "d": 3, "f_support": 3, "f_value": 3, "faltings_value": 4, '
      '"g_value": 3, "kind": "cohomological", "n": 3, "n_ambient": 5, "n_support": 3, '
      '"reg": 3, "theorem_holds": true, "tight": true}'),
+    # degree 1: f(n, 1) = g(n, 1) = 1 for n >= 1, and the bound is 1
+    (lambda: check_theorem1(ideal(5, (1,), (2,), (4,))),
+     '{"bound": 1, "d": 1, "f_support": 1, "f_value": 1, "faltings_value": 4, '
+     '"g_value": 1, "kind": "regularity", "n": 5, "n_ambient": 5, "n_support": 3, '
+     '"reg": 1, "theorem_holds": true, "tight": true}'),
+    (lambda: check_theorem1(ideal(5, (1,), (2,), (4,)), use_support=True),
+     '{"bound": 1, "d": 1, "f_support": 1, "f_value": 1, "faltings_value": 4, '
+     '"g_value": 1, "kind": "regularity", "n": 3, "n_ambient": 5, "n_support": 3, '
+     '"reg": 1, "theorem_holds": true, "tight": true}'),
+    # height 1: a principal ideal, S2 with cd 1
+    (lambda: check_corollary1(ideal(5, (1, 2, 4))),
+     '{"bound": 1, "d": 1, "f_support": 1, "f_value": 1, "faltings_value": 3, '
+     '"g_value": 1, "kind": "cohomological", "n": 5, "n_ambient": 5, "n_support": 3, '
+     '"reg": 1, "theorem_holds": true, "tight": true}'),
+    (lambda: check_corollary1(ideal(5, (1, 2, 4)), use_support=True),
+     '{"bound": 1, "d": 1, "f_support": 1, "f_value": 1, "faltings_value": 3, '
+     '"g_value": 1, "kind": "cohomological", "n": 3, "n_ambient": 5, "n_support": 3, '
+     '"reg": 1, "theorem_holds": true, "tight": true}'),
 ]
 
 

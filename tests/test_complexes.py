@@ -16,6 +16,7 @@ from oracles import (
     oracle_homology,
     oracle_sr_facets,
     random_gens,
+    random_mask,
 )
 
 import monomial_lab
@@ -32,6 +33,7 @@ from monomial_lab.complexes import (
 )
 from monomial_lab.core import Ideal, InputError, Monomial, canon_key, minimal_generators
 from monomial_lab.exact_rank import rank_bareiss, rank_f2_columns, rank_mod_p
+from monomial_lab.transversals import minimal_transversals
 
 
 def ideal(n, *var_tuples):
@@ -384,3 +386,99 @@ class TestSparseElimination:
                 assert len(rank_mod_p(sparse, p)) == mod_rank(rows, p)
             assert len(rank_f2_columns(bit_columns(rows))) == mod_rank(rows, 2)
             assert sparse == sparse_columns(rows)  # inputs are left as they were
+
+
+def seeded_complexes(rng, count):
+    """Seeded complexes on n <= 10 vertices: void, irrelevant, full
+    simplices, RP^2 (also with an unused vertex), then random complexes,
+    every third one a cone over its lowest used vertex."""
+    out = [SimplicialComplex(4), SimplicialComplex(4, (0,)), SimplicialComplex(1, (1,)),
+           SimplicialComplex(7, (0b1111111,)), SimplicialComplex(10, (0b1110111101,)),
+           SimplicialComplex.from_vertex_sets(6, RP2_FACETS),
+           SimplicialComplex.from_vertex_sets(7, [tuple(v + (v > 3) for v in f)
+                                                  for f in RP2_FACETS])]
+    for k in range(count):
+        n = rng.randint(1, 10)
+        facets = [random_mask(rng, n, rng.randint(1, min(n, 4)))
+                  for _ in range(rng.randint(1, 7))]
+        if k % 3 == 0:
+            verts = 0
+            for f in facets:
+                verts |= f
+            facets = [f | verts & -verts for f in facets]
+        out.append(SimplicialComplex(n, tuple(facets)))
+    return out
+
+
+def local_facets(C):
+    """(m, facets) of C relabelled onto its m used vertices."""
+    verts = 0
+    for f in C.facets:
+        verts |= f
+    return complexes._remap(verts, C.facets)
+
+
+def profile_calls(monkeypatch):
+    """Record the (m, non-faces) pairs handed to `homology_profile`."""
+    calls = []
+    profile = complexes.homology_profile
+
+    def spy(m, nonfaces, field):
+        calls.append((m, nonfaces))
+        return profile(m, nonfaces, field)
+
+    monkeypatch.setattr(complexes, "homology_profile", spy)
+    return calls
+
+
+class TestMinimalNonfaces:
+    """`reduced_homology_dims` reads the minimal non-faces off the face
+    bitmap in one closure pass; checked against the subset-scan oracle."""
+
+    def test_against_oracles(self, monkeypatch):
+        calls = profile_calls(monkeypatch)
+        rng = random.Random(41)
+        for C in seeded_complexes(rng, 150):
+            n = C.ambient
+            faces = faces_from_facets(C.facets, n)
+            m, local = local_facets(C)
+            apexes = (1 << m) - 1
+            for f in local:
+                apexes &= f
+            for p in (None, 2, 3):
+                del calls[:]
+                got = reduced_homology_dims(C, FieldSpec(p))
+                assert got == oracle_homology(faces, n, p), (C, p)
+                if C.is_void:
+                    assert calls == []
+                    continue
+                assert calls == [(m, minimal_nonfaces(faces_from_facets(local, m), m))]
+                if apexes:  # a cone
+                    assert not any(got.values())
+
+    def test_canonical_order_reaches_profile_cache(self):
+        rng = random.Random(42)
+        for C in seeded_complexes(rng, 40):
+            complexes.clear_caches()
+            reduced_homology_dims(C, GF2)
+            for m, nonfaces, _ in complexes._PROFILES:
+                assert list(nonfaces) == sorted(nonfaces, key=canon_key)
+                assert len(set(nonfaces)) == len(nonfaces)
+
+    def test_18_vertices_against_duality(self, monkeypatch):
+        """Minimal non-faces are the minimal transversals of the facet
+        complements; seeded 18-vertex complex with 54 facets of size 4."""
+        calls = profile_calls(monkeypatch)
+        m = 18
+        rng = random.Random(5)
+        facets = tuple(sum(1 << v for v in rng.sample(range(m), 4)) for _ in range(3 * m))
+        C = SimplicialComplex(m, facets)
+        k, local = local_facets(C)
+        full = (1 << k) - 1
+        nonfaces = minimal_transversals([full ^ f for f in local])
+        for field in (GF2, RATIONALS):
+            got = reduced_homology_dims(C, field)
+            assert calls[-1] == (k, nonfaces)
+            want = homology_profile(k, nonfaces, field)
+            assert got == {q: want[q + 1] for q in range(-1, C.dim + 1)}
+        assert got == {-1: 0, 0: 0, 1: 1, 2: 19, 3: 0}

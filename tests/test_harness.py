@@ -4,12 +4,17 @@ the built-in golden example, and the gcd witness sweep."""
 import hashlib
 import json
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
 from multiprocessing import get_context
 
 import pytest
 from oracles import oracle_canonical_subset_index, oracle_orbit_size
 
+import monomial_lab
 from monomial_lab.betti import regularity
 from monomial_lab.complexes import GF2, RATIONALS
 from monomial_lab.core import CapacityError, Ideal, InputError, Monomial
@@ -181,6 +186,28 @@ class TestVerifyRange:
             verify_range(5, 2, jobs=2, chunk_size=64, checkpoint_path=str(tmp_path / "ck"))
         # the first merged chunk fails, and the queued ones are dropped, not drained
         assert calls == ["write", "terminate"]
+
+    def test_workers_capped_at_chunk_count(self, monkeypatch):
+        from monomial_lab import harness
+
+        requested = []
+
+        class SpyPool:
+            def __init__(self, processes):
+                requested.append(processes)
+                self.pool = get_context("fork").Pool(processes=min(processes, 2))
+
+            def __getattr__(self, name):  # imap, close, join, terminate
+                return getattr(self.pool, name)
+
+        class SpyContext:
+            Pool = SpyPool
+
+        straight = verify_range(5, 2, chunk_size=512).to_json()
+        monkeypatch.setattr(harness, "get_context", lambda method: SpyContext)
+        # 1,023 indices in chunks of 512: two tasks
+        assert verify_range(5, 2, jobs=64, chunk_size=512).to_json() == straight
+        assert requested == [2]
 
     def test_resume_without_path(self):
         with pytest.raises(CheckpointError):
@@ -420,6 +447,59 @@ class TestOrbitsCampaign:
         assert (ck.read_bytes(), stream.read_bytes()) == before
 
 
+# A `verify_range(5, 2)` run in chunks of 64 that SIGKILLs itself at the
+# k-th checkpoint write: before it, when the k-th chunk's stream records are
+# already flushed, or right after it.  argv: k, before|after, checkpoint, stream.
+KILLED_RUN = """
+import os, signal, sys
+from monomial_lab import harness
+
+k, when, ck, stream = int(sys.argv[1]), sys.argv[2], sys.argv[3], sys.argv[4]
+write = harness._write_checkpoint
+calls = []
+
+def write_then_kill(path, doc):
+    calls.append(path)
+    if len(calls) == k and when == "before":
+        os.kill(os.getpid(), signal.SIGKILL)
+    write(path, doc)
+    if len(calls) == k and when == "after":
+        os.kill(os.getpid(), signal.SIGKILL)
+
+harness._write_checkpoint = write_then_kill
+harness.verify_range(5, 2, jobs=1, chunk_size=64, checkpoint_path=ck, stream_path=stream)
+"""
+
+
+class TestKilledCampaign:
+    """A campaign process killed with SIGKILL around a checkpoint write
+    resumes to the straight run's summary, stream and checkpoint bytes.
+    jobs=1, so no pool worker outlives the killed process."""
+
+    @staticmethod
+    def run(tmp_path, name, resume=False):
+        ck, stream = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
+        summary = verify_range(5, 2, jobs=1, chunk_size=64, checkpoint_path=str(ck),
+                               stream_path=str(stream), resume=resume)
+        return summary.to_json(), stream.read_bytes(), ck.read_bytes()
+
+    @pytest.mark.parametrize("k,when", [(4, "before"), (6, "after")])
+    def test_resume_after_sigkill(self, tmp_path, k, when):
+        straight = self.run(tmp_path, "straight")
+        ck, stream = tmp_path / "killed.json", tmp_path / "killed.jsonl"
+        src = os.path.dirname(os.path.dirname(monomial_lab.__file__))
+        proc = subprocess.run([sys.executable, "-c", KILLED_RUN, str(k), when, str(ck), str(stream)],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        doc = json.loads(ck.read_text())
+        assert doc["cursor"] == (k - 1 if when == "before" else k) * 64 + 1
+        # killed before the write, the stream holds the k-th chunk's records
+        # that the checkpoint lacks
+        assert (stream.stat().st_size > doc["stream_length"]) == (when == "before")
+        assert self.run(tmp_path, "killed", resume=True) == straight
+
+
 class TestRemarkExample:
     def test_frozen_values(self):
         I, f, g = remark_example()
@@ -442,6 +522,16 @@ class TestGcdSweep:
         report = gcd_lemma_sweep(4, 2)
         doc = json.loads(report.to_json())
         assert doc["violations"] == []
+
+    @pytest.mark.parametrize("n,d,digest", [
+        (4, 2, "49bafdc3180865fe93b5ac27b823da326248901cbe41ad781baf6d1c93866143"),
+        (5, 2, "724232368c36dcc0b002f8346663666e23d614b76a5d0c697b991a14e5faa007"),
+        (5, 3, "4ca2fdc8791d103d4d80ee5864cbbbebfdcc02a29dc9462399142ce6eab25b20"),
+        (4, 3, "6ec7eb125997928cc9a54c5b62f5725dfd0dd12a15b751063476f356d0b915fa"),
+    ])
+    def test_report_pinned(self, n, d, digest):
+        report = gcd_lemma_sweep(n, d).to_json()
+        assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
 class TestOpenCaseSearch:

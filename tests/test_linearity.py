@@ -4,7 +4,7 @@ the gcd witness search."""
 import random
 
 import pytest
-from oracles import random_gens
+from oracles import oracle_truncation, random_gens
 
 from monomial_lab.complexes import GF2, RATIONALS, FieldSpec
 from monomial_lab.core import (
@@ -12,6 +12,7 @@ from monomial_lab.core import (
     InputError,
     Monomial,
     PreconditionError,
+    TheoremViolationError,
     minimal_generators,
     restriction,
     truncation,
@@ -267,3 +268,35 @@ class TestGcdWitness:
         # spans no third divisor of its lcm, so the hypothesis fails
         with pytest.raises(PreconditionError):
             gcd_witness(I, Monomial.of(5, 1, 5))
+
+
+class TestGcdWitnessAgainstOracle:
+    def test_seeded(self):
+        """gcd_witness against a scan over the generators with truncations
+        taken from the membership oracle."""
+        rng = random.Random(51)
+        outcomes = {"witness": 0, "precondition": 0}
+        for _ in range(200):
+            n = rng.randint(3, 6)
+            d = rng.randint(2, min(3, n))
+            I = pure_random(rng, n, d, 6)
+            f = rng.choice([m for k in range(2, d + 1) for m in degree_monomial_masks(n, k)])
+
+            def linear(extra):
+                return is_N2_graph(Ideal.from_masks(n, oracle_truncation(
+                    I.gen_masks + (extra,), n, d)))[0]
+
+            if all(f & ~g == 0 for g in I.gen_masks) or not linear(f):
+                outcomes["precondition"] += 1
+                with pytest.raises(PreconditionError):
+                    gcd_witness(I, Monomial(n, f))
+                continue
+            want = next((g for g in I.gen_masks
+                         if (g & f).bit_count() == f.bit_count() - 1 and linear(g & f)), None)
+            if want is None:
+                with pytest.raises(TheoremViolationError):
+                    gcd_witness(I, Monomial(n, f))
+                continue
+            outcomes["witness"] += 1
+            assert gcd_witness(I, Monomial(n, f)) == (Monomial(n, want), Monomial(n, want & f))
+        assert min(outcomes.values()) >= 40, outcomes
