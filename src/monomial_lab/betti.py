@@ -9,36 +9,50 @@ the ideal's table is the same data shifted by one homological step.  Only
 subset, i.e. the lcm-lattice elements) can contribute: any uncovered
 vertex is a cone point and kills the homology.
 
-Every table walk goes through one driver, `_profiles`: it visits the
-saturated sigma in descending-submask order, relabels each one's
-generators onto 0..|sigma|-1 without re-sorting, and reads its homology
-profile.  Regularity, projective dimension and the N_k criterion maximize
-over the table (`_scan_max`) and prune the walk on the size of sigma
-alone, before its restricted generators are listed.  The ideal's index-0
-Betti numbers sit exactly on the generators, at the rows of their
-degrees, where the scan starts; any other saturated sigma has ideal index
-i >= 1, so it lies on row |sigma| - i <= |sigma| - 1 and at quotient index
-i + 1 <= |sigma|.  Hence regularity skips sigma with |sigma| - 1 <= the
-best row so far, and projective dimension skips |sigma| <= the best index.
-The best value rises as exact answers arrive, over every field.  Over Q
-the walk reads GF(2) profiles: a zero GF(2) dimension certifies vanishing
-over Q, and a nonzero one that would raise the best value is confirmed at
-once by exact elimination, so the best value only rises on a confirmed
+Every table walk visits the saturated sigma in descending-submask order
+(`_saturated_sigmas`) and relabels each one's generators onto
+0..|sigma|-1 without re-sorting.  The Betti table reads the full homology
+profile of every sigma.  Regularity, projective dimension and the N_k
+criterion maximize over the table (`_scan_max`) and prune the walk on the
+size of sigma alone, before its restricted generators are listed.  The
+ideal's index-0 Betti numbers sit exactly on the generators, at the rows
+of their degrees, where the scan starts; any other saturated sigma has
+ideal index i >= 1, so it lies on row |sigma| - i <= |sigma| - 1 and at
+quotient index i + 1 <= |sigma|.  Hence regularity skips sigma with
+|sigma| - 1 <= the best row so far, and projective dimension skips
+|sigma| <= the best index.
+
+The scan also computes only the homology that can raise the best value.
+Profile index idx holds dim H~_{idx-1}, the homology carried by the faces
+of size idx, at quotient index m - idx and row idx + 1, where m = |sigma|.
+The band of a size m is the range of idx <= m - 2 whose slot scores above
+the best value:
+
+    regularity              [best, m - 2]
+    projective dimension    [0, m - best - 1]
+    N_k, generator degree d [max(d, m - k), m - 2]   (best is d until the end)
+
+A band [lo, hi] needs the boundary ranks of the maps lo..hi+1, so only the
+faces of sizes lo-1..hi+1 are listed and reduced (see `complexes`).  The
+bands are recomputed when the best value rises, not per sigma.  The best
+value rises as exact answers arrive, over every field.  Over Q the walk
+reads GF(2) dimensions: a zero GF(2) dimension certifies vanishing over
+Q, and a nonzero one that would raise the best value is confirmed at once
+by exact elimination, so the best value only rises on a confirmed
 rational answer (a 2-torsion hit leaves it) and the result is exact.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .complexes import (
-    GF2,
     RATIONALS,
     FieldSpec,
     exact_rational_hq,
     homology_profile,
+    _boundary_ranks,
     _remap,
 )
 from .core import Ideal, InputError, canon_key, mask_to_vars
@@ -65,18 +79,6 @@ def _saturated_sigmas(gen_masks, supp: int, floor=(0,)):
         sigma = (sigma - 1) & supp
 
 
-def _profiles(gens, supp: int, field: FieldSpec, floor=(0,)):
-    """The one Betti scan: yield (sigma, m, local generators, homology
-    profile over field) for every saturated sigma of at least floor[0]
-    vertices, in walk order.  `gens` must be in canonical order: then the
-    relabelled generators come out canonical without a sort, so equal local
-    complexes share one homology cache entry.  floor[0] is read again for
-    every sigma, so a caller may raise it mid-walk."""
-    for sigma, restricted in _saturated_sigmas(gens, supp, floor):
-        m, local = _remap(sigma, restricted)
-        yield sigma, m, local, homology_profile(m, local, field)
-
-
 def _scan_max(gens, field: FieldSpec, best: int, value) -> int:
     """Largest value(m, idx) over the nonzero Betti slots of S/I, or `best`
     when none exceeds it; `gens` may come in any order.
@@ -84,29 +86,46 @@ def _scan_max(gens, field: FieldSpec, best: int, value) -> int:
     A slot is a saturated sigma, m = |sigma|, and a profile index idx <= m - 2
     (dim H~_{idx-1}, quotient index m - idx >= 2); `value` scores it, 0 for a
     slot that does not count, and its maximum over idx must not fall as m
-    grows.  best rises with each exact value, and the walk skips every sigma
-    too small to beat it.  Over Q the walk reads GF(2) profiles, and a hit
-    that would raise best is confirmed over Q before it does.
+    grows.  For each m the band is the range of idx with value(m, idx) >
+    best, and only the boundary maps of that band are reduced; the bands
+    are recomputed when best rises, and the walk skips every sigma whose
+    band is empty.  Over Q the walk reads GF(2) dimensions, and a hit that
+    would raise best is confirmed over Q before it does.
     """
+    # in canonical order the relabelled generators come out canonical too,
+    # so equal local complexes share one cache entry
     gens = sorted(gens, key=canon_key)
     supp = 0
     for g in gens:
         supp |= g
-    ceiling = [max([value(m, idx) for idx in range(m - 1)], default=0)
-               for m in range(supp.bit_count() + 1)]
-    if ceiling[-1] <= best:
+    top = supp.bit_count()
+    p = field.p or 2
+
+    def bands():
+        out = []
+        for m in range(top + 1):
+            live = [idx for idx in range(m - 1) if value(m, idx) > best]
+            out.append((live[0], live[-1]) if live else None)
+        return out
+
+    band = bands()
+    if band[top] is None:
         return best
-    exact = field.p is not None
-    floor = [bisect_right(ceiling, best)]  # the smallest sigma that can beat best
-    for _sigma, m, local, prof in _profiles(gens, supp, field if exact else GF2, floor):
-        for idx in range(m - 1):
-            v = value(m, idx) if prof[idx] else 0
-            if v <= best or not (exact or exact_rational_hq(m, local, idx - 1)):
+    # the empty bands come first: the smallest sigma that can beat best
+    floor = [sum(b is None for b in band)]
+    for sigma, restricted in _saturated_sigmas(gens, supp, floor):
+        m, local = _remap(sigma, restricted)
+        lo, hi = band[m]
+        h = _boundary_ranks(m, local, p, lo, hi + 1)[2]
+        for idx in range(lo, hi + 1):
+            v = value(m, idx) if h[idx] else 0
+            if v <= best or not (field.p or exact_rational_hq(m, local, idx - 1)):
                 continue
             best = v
-            if best >= ceiling[-1]:
+            band = bands()
+            if band[top] is None:
                 return best
-            floor[0] = bisect_right(ceiling, best)
+            floor[0] = sum(b is None for b in band)
     return best
 
 
@@ -170,9 +189,12 @@ class BettiTable:
 
 
 def _quotient_fine_entries(I: Ideal, field: FieldSpec):
-    """Yield (i, sigma, rank) for every nonzero fine Betti number of S/I."""
-    for sigma, m, _local, prof in _profiles(I.gen_masks, I.supp_mask, field):
-        for idx, h in enumerate(prof):
+    """Yield (i, sigma, rank) for every nonzero fine Betti number of S/I.
+    The generators of an Ideal are in canonical order, so the relabelled
+    ones are too and equal local complexes share one cache entry."""
+    for sigma, restricted in _saturated_sigmas(I.gen_masks, I.supp_mask):
+        m, local = _remap(sigma, restricted)
+        for idx, h in enumerate(homology_profile(m, local, field)):
             if h:
                 yield m - idx, sigma, h  # H~_{idx-1} sits at quotient index m - idx
 

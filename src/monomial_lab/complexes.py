@@ -7,16 +7,27 @@ generators) or by facets.  Faces are enumerated as one big-integer bitmap
 over the 2^m subset space, so closure operations are word-parallel shifts.
 
 Boundary ranks come from sparse column reduction (`exact_rank`), with faces
-ordered by (size, mask).  Over GF(2) and GF(p) the maps are reduced from
-the top dimension down, with clearing: the columns of the boundary map on
-size-s faces that are pivot rows of the map on size-(s+1) faces would
-reduce to zero, so they are never built.
+ordered by (size, mask).  A request names a band of boundary maps, lo..hi
+(the map on size-s faces is map s): only the faces of sizes lo-1..hi are
+listed, by AND-ing the face bitmap with cached "s bits set" indicators
+and reading the result once, so the faces keep the (size, mask) order.
+The full profile is the band of every map; the Betti scans ask for the
+band that can still raise their best value (see `betti`).  Over GF(2) and
+GF(p) the maps of a band are reduced from the top of the band down, with
+clearing: the columns of the boundary map on size-s faces that are pivot
+rows of the map on size-(s+1) faces would reduce to zero, so they are
+never built.  Face counts of every size are kept (each is one bit count),
+and the ranks reduced so far are cached per complex and field, so a later,
+wider request reduces only the maps it still lacks.  Every rank is
+checked against its matrix shape and every dimension for h >= 0, and
+full profiles against the Euler characteristic, also under -O.
 
 Rational ranks are certified exact: a dimension that vanishes over GF(2)
 also vanishes over Q (ranks can only drop modulo a prime, so reduced
 homology can only grow), and the remaining dimensions are confirmed by
-fraction-free integer column reduction, which divides each column by its
-content and so keeps the entries small.
+fraction-free integer column reduction of the maps on either side, each
+built from the faces of its two sizes only.  The reduction divides each
+column by its content and so keeps the entries small.
 """
 
 from __future__ import annotations
@@ -214,22 +225,43 @@ def _face_bitmap_from_facets(m: int, facets) -> int:
     return fm
 
 
+_SIZES: dict[int, list[int]] = {}
+
+
+def _size_indicators(m: int) -> list[int]:
+    """For each s = 0..m, the bitmap of the subset indices 0..2^m-1 with s
+    bits set."""
+    sizes = _SIZES.get(m)
+    if sizes is None:
+        sizes = [1]
+        for b in range(m):  # the indices with bit b set sit 2^b higher
+            step = 1 << b
+            sizes = [lower | upper << step for lower, upper in zip(sizes + [0], [0] + sizes)]
+        _SIZES[m] = sizes
+    return sizes
+
+
+def _size_band(m: int, lo: int, hi: int) -> int:
+    """Bitmap of the subset indices with lo..hi bits set."""
+    band = 0
+    for ind in _size_indicators(m)[lo:hi + 1]:
+        band |= ind
+    return band
+
+
+_BYTE_BITS = [tuple(b for b in range(8) if x >> b & 1) for x in range(256)]
+
+
 def _faces_by_size(m: int, bitmap: int) -> list[list[int]]:
-    """Face masks grouped by cardinality, each group in ascending mask order."""
+    """Face masks grouped by cardinality 0..m, each group in ascending mask
+    order.  The bitmap is read once, a byte at a time."""
     groups: list[list[int]] = [[] for _ in range(m + 1)]
-    word_index = 0
-    while bitmap:
-        word = bitmap & 0xFFFFFFFFFFFFFFFF
-        bitmap >>= 64
-        base = word_index << 6
-        while word:
-            low = word & -word
-            mask = base + low.bit_length() - 1
-            groups[mask.bit_count()].append(mask)
-            word ^= low
-        word_index += 1
-    while groups and not groups[-1]:
-        groups.pop()
+    for index, byte in enumerate(bitmap.to_bytes(((1 << m) + 7) >> 3, "little")):
+        if byte:
+            base = index << 3
+            for b in _BYTE_BITS[byte]:
+                mask = base + b
+                groups[mask.bit_count()].append(mask)
     return groups
 
 
@@ -270,60 +302,86 @@ def _boundary_rows_signed(small: list[int], big: list[int]) -> list[dict[int, in
     return cols
 
 
-def _cleared_ranks(groups: list[list[int]], p: int) -> tuple[int, ...]:
-    """Boundary ranks over GF(p): entry s is the rank of the map from size-s
-    to size-(s-1) chains.  The maps are reduced from the top down, and the
-    faces that are pivot rows of the map above are left out as columns."""
-    ranks = [0] * (len(groups) + 1)
-    pivots = ()
-    for s in range(len(groups) - 1, 0, -1):
-        big = groups[s]
-        if pivots:
-            big = [f for i, f in enumerate(big) if i not in pivots]
-        if p == 2:
-            pivots = rank_f2_columns(_boundary_columns_f2(groups[s - 1], big))
-        else:
-            pivots = rank_mod_p(_boundary_rows_signed(groups[s - 1], big), p)
-        ranks[s] = len(pivots)
-    return tuple(ranks)
-
-
 # --- homology profiles -------------------------------------------------------
 #
-# A profile is a tuple h of length m+1 with h[q+1] = dim H~_q, q = -1..m-1.
-# Conventions: void complex -> all zeros; irrelevant complex -> h[-1] = 1.
+# A profile is a tuple h of length m+1 with h[s] = dim H~_{s-1}, s = 0..m:
+# size-s faces carry H~_{s-1}.  Conventions: void complex -> all zeros;
+# irrelevant complex -> h[0] = 1.
+#
+# The face data of a complex over GF(p) are cached per (m, non-faces, p) as
+# (counts, ranks, h): counts[s] is the number of size-s faces (s = 0..m),
+# ranks[s] the rank of the boundary map from size-s to size-(s-1) chains
+# (s = 0..m+1) and h[s] = counts[s] - ranks[s] - ranks[s+1].  A request
+# names the maps it needs, and only the ranks still missing are reduced, so
+# the entry of a banded request is a partial profile: a rank or dimension
+# not computed yet is None, and a full profile is only built from an entry
+# whose every rank is known.  `_F2_DATA` keeps the name it had when it held
+# GF(2) data only.
 
-_F2_DATA: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+_F2_DATA: dict[tuple[int, tuple[int, ...], int], tuple[tuple, tuple, tuple]] = {}
 _PROFILES: dict[tuple[int, tuple[int, ...], int | None], tuple[int, ...]] = {}
 _QRANKS: dict[tuple[int, tuple[int, ...], int], int] = {}
 
 
-def _chain_groups(m: int, nonfaces: tuple[int, ...]) -> list[list[int]]:
-    return _faces_by_size(m, _face_bitmap_from_nonfaces(m, nonfaces))
+def _check_rank(r: int, rows: int, cols: int, s: int) -> int:
+    if r > min(rows, cols):
+        raise InternalCheckError(f"rank {r} of the size-{s} boundary map exceeds its "
+                                 f"{rows} x {cols} shape")
+    return r
 
 
-def _f2_counts_ranks(m: int, nonfaces: tuple[int, ...]):
-    """Face counts per size and GF(2) boundary ranks, cached."""
-    key = (m, nonfaces)
-    data = _F2_DATA.get(key)
-    if data is None:
-        groups = _chain_groups(m, nonfaces)
-        data = (tuple(len(g) for g in groups), _cleared_ranks(groups, 2))
-        _F2_DATA[key] = data
-    return data
+def _boundary_ranks(m: int, nonfaces: tuple[int, ...], p: int, lo: int, hi: int):
+    """The cached (counts, ranks, h) of the complex over GF(p), with the
+    ranks of the boundary maps lo..hi known.
 
-
-def _profile_from(counts, ranks, m: int) -> tuple[int, ...]:
-    h = [0] * (m + 1)
-    for s, c in enumerate(counts):
-        nxt = ranks[s + 1] if s + 1 < len(ranks) else 0
-        h[s] = c - ranks[s] - nxt
-    euler_faces = sum(c if s % 2 else -c for s, c in enumerate(counts))
-    euler_hom = sum(v if s % 2 else -v for s, v in enumerate(h))
-    if euler_faces != euler_hom:
-        raise InternalCheckError(
-            f"Euler characteristic mismatch: faces {euler_faces}, homology {euler_hom}")
-    return tuple(h)
+    The missing maps are reduced from the top down with clearing, on the
+    faces of sizes lo-1..hi only.  Every new rank is checked against its
+    matrix shape and every new dimension for h >= 0, also under -O.
+    """
+    key = (m, nonfaces, p)
+    entry = _F2_DATA.get(key)
+    if entry is not None and None not in entry[1][lo:hi + 1]:
+        return entry
+    bitmap = _face_bitmap_from_nonfaces(m, nonfaces)
+    groups = None
+    if entry is None:
+        if lo <= 1 and hi >= m:
+            # a full request lists every size anyway, so it needs no indicators,
+            # which take (m + 1) 2^m bits
+            groups = _faces_by_size(m, bitmap)
+            counts = tuple(len(g) for g in groups)
+        else:
+            counts = tuple((bitmap & ind).bit_count() for ind in _size_indicators(m))
+        # a map with no faces on either side has rank 0
+        ranks = [None if 0 < s <= m and counts[s] and counts[s - 1] else 0
+                 for s in range(m + 2)]
+        h = [None] * (m + 1)
+    else:
+        counts, ranks, h = entry[0], list(entry[1]), list(entry[2])
+    missing = [s for s in range(lo, hi + 1) if ranks[s] is None]
+    if missing:
+        if groups is None:
+            groups = _faces_by_size(m, bitmap & _size_band(m, missing[0] - 1, missing[-1]))
+        pivots = ()
+        for s in range(missing[-1], missing[0] - 1, -1):
+            if ranks[s] is not None:
+                pivots = ()
+                continue
+            big = groups[s]
+            if pivots:
+                big = [f for i, f in enumerate(big) if i not in pivots]
+            if p == 2:
+                pivots = rank_f2_columns(_boundary_columns_f2(groups[s - 1], big))
+            else:
+                pivots = rank_mod_p(_boundary_rows_signed(groups[s - 1], big), p)
+            ranks[s] = _check_rank(len(pivots), counts[s - 1], counts[s], s)
+    for s in range(m + 1):
+        if h[s] is None and ranks[s] is not None and ranks[s + 1] is not None:
+            h[s] = counts[s] - ranks[s] - ranks[s + 1]
+            if h[s] < 0:
+                raise InternalCheckError(f"negative homology dimension {h[s]} at q={s - 1}")
+    entry = _F2_DATA[key] = (counts, tuple(ranks), tuple(h))
+    return entry
 
 
 def _exact_rank_q(m: int, nonfaces: tuple[int, ...], s: int) -> int:
@@ -331,27 +389,29 @@ def _exact_rank_q(m: int, nonfaces: tuple[int, ...], s: int) -> int:
     key = (m, nonfaces, s)
     r = _QRANKS.get(key)
     if r is None:
-        counts, f2_ranks = _f2_counts_ranks(m, nonfaces)
-        if s < 1 or s >= len(counts):
+        if s < 1 or s > m:
             r = 0
-        elif f2_ranks[s] == min(counts[s - 1], counts[s]):
-            # GF(2) rank is a lower bound for the rational rank
-            r = f2_ranks[s]
         else:
-            groups = _chain_groups(m, nonfaces)
-            r = len(rank_bareiss(_boundary_rows_signed(groups[s - 1], groups[s])))
+            counts, f2_ranks, _ = _boundary_ranks(m, nonfaces, 2, s, s)
+            if f2_ranks[s] == min(counts[s - 1], counts[s]):
+                # GF(2) rank is a lower bound for the rational rank
+                r = f2_ranks[s]
+            else:
+                groups = _faces_by_size(
+                    m, _face_bitmap_from_nonfaces(m, nonfaces) & _size_band(m, s - 1, s))
+                r = _check_rank(len(rank_bareiss(_boundary_rows_signed(groups[s - 1], groups[s]))),
+                                counts[s - 1], counts[s], s)
         _QRANKS[key] = r
     return r
 
 
 def exact_rational_hq(m: int, nonfaces: tuple[int, ...], q: int) -> int:
     """dim H~_q over Q for one dimension, with the GF(2) zero certificate."""
-    counts, f2_ranks = _f2_counts_ranks(m, nonfaces)
     s = q + 1
-    if s < 0 or s >= len(counts):
+    if s < 0 or s > m:
         return 0
-    nxt = f2_ranks[s + 1] if s + 1 < len(f2_ranks) else 0
-    if counts[s] - f2_ranks[s] - nxt == 0:
+    counts, _, h2 = _boundary_ranks(m, nonfaces, 2, s, s + 1)
+    if h2[s] == 0:
         return 0
     h = counts[s] - _exact_rank_q(m, nonfaces, s) - _exact_rank_q(m, nonfaces, s + 1)
     if h < 0:
@@ -361,21 +421,22 @@ def exact_rational_hq(m: int, nonfaces: tuple[int, ...], q: int) -> int:
 
 def homology_profile(m: int, nonfaces: tuple[int, ...], field: FieldSpec) -> tuple[int, ...]:
     """Reduced homology dimensions of the complex with the given minimal
-    non-faces on m local vertices; tuple index q+1 holds dim H~_q."""
+    non-faces on m local vertices; tuple index q+1 holds dim H~_q.  The
+    full profile is the band of every map, checked against the Euler
+    characteristic of the face counts."""
     key = (m, nonfaces, field.p)
     prof = _PROFILES.get(key)
     if prof is not None:
         return prof
-    if field.p == 2:
-        counts, ranks = _f2_counts_ranks(m, nonfaces)
-        prof = _profile_from(counts, ranks, m)
-    elif field.p is not None:
-        groups = _chain_groups(m, nonfaces)
-        counts = tuple(len(g) for g in groups)
-        prof = _profile_from(counts, _cleared_ranks(groups, field.p), m)
-    else:
-        prof = tuple(exact_rational_hq(m, nonfaces, q) for q in range(-1, m))
-    _PROFILES[key] = prof
+    counts, _, h = _boundary_ranks(m, nonfaces, field.p or 2, 1, m)
+    if field.p is None:
+        h = [exact_rational_hq(m, nonfaces, q) for q in range(-1, m)]
+    euler_faces = sum(c if s % 2 else -c for s, c in enumerate(counts))
+    euler_hom = sum(v if s % 2 else -v for s, v in enumerate(h))
+    if euler_faces != euler_hom:
+        raise InternalCheckError(
+            f"Euler characteristic mismatch: faces {euler_faces}, homology {euler_hom}")
+    prof = _PROFILES[key] = tuple(h)
     return prof
 
 

@@ -68,12 +68,18 @@ def n2_verdict_masks(gens: tuple[int, ...], d: int):
     """Connectivity criterion on raw generator bitmasks.
 
     Returns (True, None) or (False, (a, b)) with the canonically first
-    disconnected generator index pair.
+    disconnected generator index pair.  Many pairs share an lcm, so each
+    lcm keeps the whole component of the first start a in its subgraph,
+    and later pairs with that lcm read it.  A later start a2 lies in that
+    component: a and a2 both divide the lcm, and the pair (a, a2), checked
+    before a2's pairs, is adjacent or was connected inside lcm(a, a2),
+    which divides the lcm.
     """
     r = len(gens)
     if r <= 1:
         return True, None
     adj = _adjacency(gens, d)
+    components: dict[int, int] = {}
     for a in range(r):
         adj_a = adj[a]
         ga = gens[a]
@@ -81,11 +87,14 @@ def n2_verdict_masks(gens: tuple[int, ...], d: int):
             if adj_a >> b & 1:
                 continue  # direct edge, trivially connected
             big = ga | gens[b]
-            members = 0
-            for i in range(r):
-                if gens[i] & ~big == 0:
-                    members |= 1 << i
-            if not _reach(adj, members, 1 << a, 1 << b) >> b & 1:
+            comp = components.get(big)
+            if comp is None:
+                members = 0
+                for i in range(r):
+                    if gens[i] & ~big == 0:
+                        members |= 1 << i
+                comp = components[big] = _reach(adj, members, 1 << a, 0)
+            if not comp >> b & 1:
                 return False, (a, b)
     return True, None
 

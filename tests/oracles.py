@@ -223,6 +223,28 @@ def random_gens(rng: random.Random, n: int, count: int, dmin: int = 1, dmax: int
     return minimalize(picks)
 
 
+def oracle_n2_verdict(gens, d):
+    """The connectivity criterion pair by pair: a breadth-first search
+    inside the generators dividing lcm(a, b) for every non-adjacent pair;
+    (True, None) or (False, the first disconnected index pair)."""
+    from monomial_lab.linearity import _adjacency, _reach
+
+    r = len(gens)
+    adj = _adjacency(gens, d)
+    for a in range(r):
+        for b in range(a + 1, r):
+            if adj[a] >> b & 1:
+                continue
+            big = gens[a] | gens[b]
+            members = 0
+            for i in range(r):
+                if gens[i] & ~big == 0:
+                    members |= 1 << i
+            if not _reach(adj, members, 1 << a, 1 << b) >> b & 1:
+                return False, (a, b)
+    return True, None
+
+
 # --- the unpruned Betti scans -------------------------------------------------
 #
 # The package's scans as they were before the pruned driver: every saturated
@@ -260,7 +282,7 @@ def unpruned_local_complexes(gens):
 
 
 def _unpruned_max(gens, field, established, value, slots):
-    from monomial_lab.complexes import GF2, _f2_counts_ranks, exact_rational_hq, homology_profile
+    from monomial_lab.complexes import GF2, exact_rational_hq, homology_profile
 
     if field.p is not None:
         best = established
@@ -275,10 +297,9 @@ def _unpruned_max(gens, field, established, value, slots):
         prof2 = homology_profile(m, local, GF2)
         for idx in slots(m):
             if prof2[idx] and value(m, idx) > established:
-                counts, _ = _f2_counts_ranks(m, local)
-                candidates.append((value(m, idx), sum(counts), m, local, idx - 1))
-    candidates.sort(key=lambda c: (-c[0], c[1]))
-    for v, _cost, m, local, q in candidates:
+                candidates.append((value(m, idx), m, local, idx - 1))
+    candidates.sort(key=lambda c: -c[0])
+    for v, m, local, q in candidates:
         if exact_rational_hq(m, local, q):
             return v
     return established

@@ -7,7 +7,9 @@ import random
 import pytest
 from oracles import (
     RP2_FACETS,
+    faces_from_nonfaces,
     minimalize,
+    oracle_homology,
     oracle_quotient_betti,
     random_gens,
     random_mask,
@@ -25,10 +27,10 @@ from monomial_lab.betti import (
     regularity_masks,
 )
 from monomial_lab import complexes
-from monomial_lab.complexes import GF2, RATIONALS, FieldSpec
+from monomial_lab.complexes import GF2, RATIONALS, FieldSpec, homology_profile
 from monomial_lab.core import Ideal, InputError, Monomial, canon_key, minimal_generators
 from monomial_lab.duality import height_profile
-from monomial_lab.harness import remark_example
+from monomial_lab.harness import degree_monomial_masks, remark_example
 from monomial_lab.linearity import is_Nk_betti, nk_betti_masks
 
 
@@ -140,6 +142,7 @@ class TestPrunedScan:
         complexes.clear_caches()
         rng = random.Random(30)
         linear = mixed = 0
+        scanned = []
         for _ in range(40):
             n = rng.randint(2, 7)
             picks = [random_mask(rng, n, rng.randint(1, min(4, n))) for _ in range(rng.randint(1, 7))]
@@ -150,6 +153,7 @@ class TestPrunedScan:
             mixed += len({g.bit_count() for g in gens}) > 1
             shuffled = list(gens)
             rng.shuffle(shuffled)
+            scanned.append(tuple(shuffled))
             I = Ideal.from_masks(n, gens)
             for field, p in FIELDS:
                 coarse, fine = oracle_quotient_betti(gens, n, p)
@@ -161,8 +165,14 @@ class TestPrunedScan:
                 assert unpruned_projective_dimension(gens, field) == want_pd
                 assert betti_table(I, field, fine=True, quotient=True).fine == fine
         assert linear >= 10 and mixed >= 10
-        # shuffled input still reaches the homology cache in canonical form
-        for _m, local, _p in complexes._PROFILES:
+        # shuffled input still reaches the scan's homology store in canonical form
+        complexes.clear_caches()
+        for shuffled in scanned:
+            for field, _ in FIELDS:
+                regularity_masks(shuffled, field)
+                projective_dimension_masks(shuffled, field)
+        assert complexes._F2_DATA
+        for _m, local, _p in complexes._F2_DATA:
             assert list(local) == sorted(local, key=canon_key)
 
     def test_nk_pure_degree(self):
@@ -249,6 +259,87 @@ class TestPrunedScan:
             # the walk starts at the whole support; a refusal below it is mid-walk
             counts["mid-walk"] += any(m < supp.bit_count() for m in refused)
         assert counts["reg/pd"] >= 4 and counts["nk"] >= 2 and counts["mid-walk"] >= 6, counts
+
+
+class TestBandedScan:
+    """The scans reduce only the boundary maps of the band of profile
+    indices that can still beat the best value; checked against the full
+    profiles and the Hochster oracle."""
+
+    def test_against_full_profiles_and_oracle(self):
+        """Seeded ideals, mixed degrees for reg and pd and pure ones for
+        N_k, k = 1..3, over Q, GF(2), GF(3) and GF(32003): the banded scans
+        equal the full Betti table and the oracle; every dimension a scan
+        stored equals the full profile's, and a full profile served from
+        the partial entries equals a fresh one."""
+        rng = random.Random(35)
+        partial, verdicts = 0, set()
+        for trial in range(30):
+            n = rng.randint(3, 8)
+            d = rng.randint(2, min(3, n - 1)) if trial % 3 == 0 else None
+            if d:
+                gens = random_gens(rng, n, rng.randint(2, 9), dmin=d, dmax=d)
+            else:
+                gens = random_gens(rng, n, rng.randint(2, 8), dmax=min(4, n))
+            I = Ideal.from_masks(n, gens)
+            for field, p in FIELDS + ((FieldSpec(3), 3),):
+                coarse, _ = oracle_quotient_betti(gens, n, p)
+                complexes.clear_caches()
+                assert betti_table(I, field, quotient=True).entries == coarse
+                complexes.clear_caches()
+                assert regularity_masks(gens, field) == max(
+                    j - i for (i, j) in coarse if i >= 1) + 1
+                assert projective_dimension_masks(gens, field) == max(i for (i, _) in coarse)
+                for k in (1, 2, 3) if d else ():
+                    want = all(j == i - 1 + d for (i, j) in coarse if 1 <= i <= k)
+                    assert nk_betti_masks(gens, d, k, field) == want
+                    verdicts.add(want)
+                stored = {key: list(entry[2]) for key, entry in complexes._F2_DATA.items()}
+                served = {key: homology_profile(key[0], key[1], field) for key in stored}
+                complexes.clear_caches()
+                for (m, local, q), h in stored.items():
+                    partial += None in h
+                    full = homology_profile(m, local, FieldSpec(q))
+                    assert all(v is None or v == w for v, w in zip(h, full))
+                    assert served[(m, local, q)] == homology_profile(m, local, field)
+                    want = oracle_homology(faces_from_nonfaces(local, m), m, q)
+                    assert {s - 1: full[s] for s in range(m + 1) if s - 1 in want} == want
+                    assert sum(full) == sum(want.values())
+        assert partial >= 50 and verdicts == {True, False}, (partial, verdicts)
+
+    def test_scans_list_under_half_the_faces(self, monkeypatch):
+        """A work count, not a timing: on a seeded n = 12, degree-3 ideal
+        the reg and pd scans list under half the faces that full profiles
+        of the same local complexes list."""
+        listed, visited = [0], []
+        faces_by_size = complexes._faces_by_size
+        boundary_ranks = complexes._boundary_ranks
+
+        def counting(m, bitmap):
+            groups = faces_by_size(m, bitmap)
+            listed[0] += sum(len(g) for g in groups)
+            return groups
+
+        def recording(m, local, p, lo, hi):
+            visited.append((m, local))
+            return boundary_ranks(m, local, p, lo, hi)
+
+        from monomial_lab import betti
+
+        monkeypatch.setattr(complexes, "_faces_by_size", counting)
+        monkeypatch.setattr(betti, "_boundary_ranks", recording)
+        gens = tuple(random.Random(0).sample(degree_monomial_masks(12, 3), 24))
+        field = FieldSpec(32003)
+        for scan, want in ((regularity_masks, 6), (projective_dimension_masks, 7)):
+            complexes.clear_caches()
+            listed[0], visited[:] = 0, []
+            assert scan(gens, field) == want
+            banded = listed[0]
+            complexes.clear_caches()
+            listed[0] = 0
+            for m, local in dict.fromkeys(visited):
+                homology_profile(m, local, field)
+            assert 0 < 2 * banded < listed[0], (scan.__name__, banded, listed[0])
 
 
 class TestSaturatedWalk:

@@ -187,13 +187,20 @@ class TestHomology:
 # Runs under `python -O`: regularity of two disjoint edges (reg 3, a GF(2)
 # hit confirmed over Q as the walk meets it) and of the RP^2 face ideal (reg
 # 3 over Q: the GF(2) hit at row 4 is 2-torsion, refused by the
-# confirmation), then two disjoint edges with the GF(2) ranks skewed so the
-# Euler characteristics disagree, and with a rational rank too large for the
-# face count.
+# confirmation), then three skews on two disjoint edges.  "euler": the Betti
+# table over Q with every nonzero rational rank one too small; no dimension
+# goes negative and the ones certified zero over GF(2) are not recomputed, so
+# only the Euler characteristic of the full profile sees it.  "negative": a
+# rational rank too large for the face count, in the reg scan.  "banded": a
+# GF(32003) rank above its matrix shape, in the banded reg scan.  "stored": a
+# triangle and a vertex, whose top map is reduced by a banded request and
+# stored; then a full profile with every GF(32003) rank full, which fits each
+# matrix shape but not the stored rank above it.
 FORCED_MISMATCH = """
 import sys
 from monomial_lab import complexes
-from monomial_lab.betti import regularity
+from monomial_lab.betti import betti_table, regularity
+from monomial_lab.complexes import FieldSpec
 from monomial_lab.core import Ideal, InternalCheckError
 from monomial_lab.transversals import minimal_transversals
 
@@ -202,21 +209,28 @@ print("optimize", sys.flags.optimize, "reg", regularity(I))
 facets = [sum(1 << (v - 1) for v in f) for f in %r]
 rp2 = Ideal.from_masks(6, minimal_transversals([0b111111 ^ f for f in facets]))
 print("rp2 reg", regularity(rp2))
-f2_counts_ranks = complexes._f2_counts_ranks
-patches = {
-    "euler": ("_f2_counts_ranks",
-              lambda m, nf: (lambda c, r: (c, (1,) + r[1:]))(*f2_counts_ranks(m, nf))),
-    "negative": ("_exact_rank_q", lambda m, nf, s: 10**6),
+exact_rank_q = complexes._exact_rank_q
+cases = {
+    "euler": ("_exact_rank_q", lambda m, nf, s: max(exact_rank_q(m, nf, s) - 1, 0),
+              lambda: betti_table(I)),
+    "negative": ("_exact_rank_q", lambda m, nf, s: 10**6, lambda: regularity(I)),
+    "banded": ("rank_mod_p", lambda cols, p: range(len(cols) + 1),
+               lambda: regularity(I, FieldSpec(32003))),
+    "stored": ("rank_mod_p",
+               lambda cols, p: range(min(len(cols), len({r for c in cols for r in c}))),
+               lambda: complexes.homology_profile(4, triangle, FieldSpec(32003))),
 }
-for label, (name, fake) in patches.items():
+triangle = (0b1001, 0b1010, 0b1100)
+for label, (name, fake, call) in cases.items():
     complexes.clear_caches()
+    complexes._boundary_ranks(4, triangle, 32003, 3, 3)
     orig = getattr(complexes, name)
     setattr(complexes, name, fake)
     try:
-        regularity(I)
+        call()
         print(label, "unchecked")
     except InternalCheckError as exc:
-        print(label, "raised", type(exc).__name__)
+        print(label, "raised", type(exc).__name__, str(exc).split()[0])
     finally:
         setattr(complexes, name, orig)
 """ % (RP2_FACETS,)
@@ -229,11 +243,13 @@ class TestChecksSurviveOptimize:
         proc = subprocess.run([sys.executable, "-O", "-c", FORCED_MISMATCH],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:4] == [
+        assert proc.stdout.split("\n")[:6] == [
             "optimize 1 reg 3",
             "rp2 reg 3",
-            "euler raised InternalCheckError",
-            "negative raised InternalCheckError",
+            "euler raised InternalCheckError Euler",
+            "negative raised InternalCheckError negative",
+            "banded raised InternalCheckError rank",
+            "stored raised InternalCheckError negative",
         ]
 
 
@@ -337,12 +353,15 @@ class TestSparseElimination:
             assert homology_profile(m, nonfaces, FieldSpec(p)) == (0,) * 7
 
     def test_cleared_ranks_match_uncleared(self):
+        """The ranks of a full reduction, of seeded bands reduced from the
+        top of the band down with clearing, and of a full request that
+        completes a band all equal the ranks of the whole boundary maps."""
         rng = random.Random(32)
         for m, nonfaces in local_complexes(rng, 45):
-            groups = complexes._chain_groups(m, nonfaces)
+            groups = complexes._faces_by_size(m, complexes._face_bitmap_from_nonfaces(m, nonfaces))
             for p in (2, 3, 32003):
-                uncleared = [0] * (len(groups) + 1)
-                for s in range(1, len(groups)):
+                uncleared = [0] * (m + 2)
+                for s in range(1, m + 1):
                     cols = complexes._boundary_rows_signed(groups[s - 1], groups[s])
                     rows = dense_rows(cols, len(groups[s - 1]))
                     if p == 2:
@@ -352,11 +371,18 @@ class TestSparseElimination:
                         full = rank_mod_p(cols, p)
                     uncleared[s] = len(full)
                     assert uncleared[s] == mod_rank(rows, p)
-                assert complexes._cleared_ranks(groups, p) == tuple(uncleared)
-            assert complexes._f2_counts_ranks(m, nonfaces)[1] == complexes._cleared_ranks(groups, 2)
+                complexes.clear_caches()
+                assert complexes._boundary_ranks(m, nonfaces, p, 1, m)[1] == tuple(uncleared)
+                for _ in range(3):
+                    complexes.clear_caches()
+                    lo = rng.randint(1, m)
+                    hi = rng.randint(lo, m)
+                    ranks = complexes._boundary_ranks(m, nonfaces, p, lo, hi)[1]
+                    assert ranks[lo:hi + 1] == tuple(uncleared[lo:hi + 1])
+                    assert complexes._boundary_ranks(m, nonfaces, p, 1, m)[1] == tuple(uncleared)
             # over Q, the pivot rows of the map above clear the map below too
             pivots = ()
-            for s in range(len(groups) - 1, 0, -1):
+            for s in range(m, 0, -1):
                 cols = complexes._boundary_rows_signed(groups[s - 1], groups[s])
                 full = rank_bareiss(cols)
                 kept = [c for i, c in enumerate(cols) if i not in pivots]

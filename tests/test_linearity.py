@@ -4,7 +4,7 @@ the gcd witness search."""
 import random
 
 import pytest
-from oracles import oracle_truncation, random_gens
+from oracles import oracle_n2_verdict, oracle_truncation, random_gens
 
 from monomial_lab.complexes import GF2, RATIONALS, FieldSpec
 from monomial_lab.core import (
@@ -30,6 +30,7 @@ from monomial_lab.linearity import (
     is_N2_graph,
     is_Nk_betti,
     lcm_induced_subgraph,
+    n2_verdict_masks,
 )
 
 
@@ -119,6 +120,20 @@ class TestN2Graph:
         ok, witness = is_N2_graph(I)
         assert not ok
         assert (str(witness[0]), str(witness[1])) == ("x1*x2", "x3*x4")
+
+    def test_lcm_components_match_pairwise_search(self):
+        """Seeded pure ideals of degree 2..4, linearly presented or not: the
+        verdict and the first failing pair equal the pair-by-pair search."""
+        rng = random.Random(34)
+        seen = {d: set() for d in (2, 3, 4)}
+        for _ in range(240):
+            d = rng.randint(2, 4)
+            n = rng.randint(d + 1, d + 4)
+            gens = pure_random(rng, n, d, 16).gen_masks
+            want = oracle_n2_verdict(gens, d)
+            assert n2_verdict_masks(gens, d) == want, (n, gens)
+            seen[d].add(want[0])
+        assert all(verdicts == {True, False} for verdicts in seen.values()), seen
 
 
 class TestNkBetti:
