@@ -9,16 +9,16 @@ over the 2^m subset space, so closure operations are word-parallel shifts.
 Boundary ranks come from sparse column reduction (`exact_rank`), with faces
 ordered by (size, mask).  A request names a band of boundary maps, lo..hi
 (the map on size-s faces is map s): only the faces of sizes lo-1..hi are
-listed, by AND-ing the face bitmap with cached "s bits set" indicators
-and reading the result once, so the faces keep the (size, mask) order.
-The full profile is the band of every map; the Betti scans ask for the
-band that can still raise their best value (see `betti`).  Over GF(2) and
-GF(p) the maps of a band are reduced from the top of the band down, with
-clearing: the columns of the boundary map on size-s faces that are pivot
-rows of the map on size-(s+1) faces would reduce to zero, so they are
-never built.  Face counts of every size are kept (each is one bit count),
-and the ranks reduced so far are cached per complex and field, so a later,
-wider request reduces only the maps it still lacks.  Every rank is
+listed, by AND-ing the face bitmap with the mask of the subset indices
+that have lo-1..hi bits set and reading the result once, so the faces
+keep the (size, mask) order.  The full profile is the band of every map;
+the Betti scans ask for the band that can still raise their best value
+(see `betti`).  Over GF(2) and GF(p) the maps of a band are reduced from
+the top of the band down, with clearing: the columns of the boundary map
+on size-s faces that are pivot rows of the map on size-(s+1) faces would
+reduce to zero, so they are never built.  The counts of the listed sizes
+and the ranks reduced so far are cached per complex and field, so a
+later, wider request reduces only the maps it still lacks.  Every rank is
 checked against its matrix shape and every dimension for h >= 0, and
 full profiles against the Euler characteristic, also under -O.
 
@@ -225,28 +225,40 @@ def _face_bitmap_from_facets(m: int, facets) -> int:
     return fm
 
 
-_SIZES: dict[int, list[int]] = {}
+_AT_MOST: dict[tuple[int, int], int] = {}
+_CACHED_MASK_VERTICES = 16  # m masks of 2^m bits: 128 KiB at m = 16
 
 
-def _size_indicators(m: int) -> list[int]:
-    """For each s = 0..m, the bitmap of the subset indices 0..2^m-1 with s
-    bits set."""
-    sizes = _SIZES.get(m)
-    if sizes is None:
-        sizes = [1]
-        for b in range(m):  # the indices with bit b set sit 2^b higher
+def _at_most(m: int, k: int) -> int:
+    """Bitmap of the subset indices 0..2^m-1 with at most k bits set.
+
+    Built over the vertex bits from the bottom up.  After b bits, row[i]
+    marks the indices below 2^b with at most k - (m - b) + i bits set;
+    the indices with bit b set sit 2^b higher and have one bit more.  The
+    row shrinks by one entry per bit, so it holds at most 2^m bits, and
+    the old and new rows at most 2^(m+1).  Cached for
+    m <= _CACHED_MASK_VERTICES only.
+    """
+    if k < 0:
+        return 0
+    if k >= m:
+        return (1 << (1 << m)) - 1
+    key = (m, k)
+    mask = _AT_MOST.get(key)
+    if mask is None:
+        row = [int(j >= 0) for j in range(k - m, k + 1)]
+        for b in range(m):
             step = 1 << b
-            sizes = [lower | upper << step for lower, upper in zip(sizes + [0], [0] + sizes)]
-        _SIZES[m] = sizes
-    return sizes
+            row = [rest | fewer << step for fewer, rest in zip(row, row[1:])]
+        mask = row[0]
+        if m <= _CACHED_MASK_VERTICES:
+            _AT_MOST[key] = mask
+    return mask
 
 
 def _size_band(m: int, lo: int, hi: int) -> int:
     """Bitmap of the subset indices with lo..hi bits set."""
-    band = 0
-    for ind in _size_indicators(m)[lo:hi + 1]:
-        band |= ind
-    return band
+    return _at_most(m, hi) ^ _at_most(m, lo - 1)
 
 
 _BYTE_BITS = [tuple(b for b in range(8) if x >> b & 1) for x in range(256)]
@@ -263,6 +275,12 @@ def _faces_by_size(m: int, bitmap: int) -> list[list[int]]:
                 mask = base + b
                 groups[mask.bit_count()].append(mask)
     return groups
+
+
+def _band_faces(m: int, nonfaces: tuple[int, ...], lo: int, hi: int) -> list[list[int]]:
+    """The faces of sizes lo..hi grouped by size 0..m; the other groups are
+    empty."""
+    return _faces_by_size(m, _face_bitmap_from_nonfaces(m, nonfaces) & _size_band(m, lo, hi))
 
 
 def _boundary_columns_f2(small: list[int], big: list[int]) -> list[int]:
@@ -312,11 +330,12 @@ def _boundary_rows_signed(small: list[int], big: list[int]) -> list[dict[int, in
 # (counts, ranks, h): counts[s] is the number of size-s faces (s = 0..m),
 # ranks[s] the rank of the boundary map from size-s to size-(s-1) chains
 # (s = 0..m+1) and h[s] = counts[s] - ranks[s] - ranks[s+1].  A request
-# names the maps it needs, and only the ranks still missing are reduced, so
-# the entry of a banded request is a partial profile: a rank or dimension
-# not computed yet is None, and a full profile is only built from an entry
-# whose every rank is known.  `_F2_DATA` keeps the name it had when it held
-# GF(2) data only.
+# names the maps lo..hi it needs; the faces of sizes lo-1..hi are listed
+# and counted, and only the ranks still missing are reduced, so the entry
+# of a banded request is a partial profile: a count, rank or dimension not
+# computed yet is None.  A rank is known only with the counts of both its
+# sizes, and a full profile is only built from an entry whose every rank
+# is known.  `_F2_DATA` keeps the name it had when it held GF(2) data only.
 
 _F2_DATA: dict[tuple[int, tuple[int, ...], int], tuple[tuple, tuple, tuple]] = {}
 _PROFILES: dict[tuple[int, tuple[int, ...], int | None], tuple[int, ...]] = {}
@@ -334,53 +353,41 @@ def _boundary_ranks(m: int, nonfaces: tuple[int, ...], p: int, lo: int, hi: int)
     """The cached (counts, ranks, h) of the complex over GF(p), with the
     ranks of the boundary maps lo..hi known.
 
-    The missing maps are reduced from the top down with clearing, on the
-    faces of sizes lo-1..hi only.  Every new rank is checked against its
+    The faces of sizes lo-1..hi are listed and the missing maps reduced
+    from the top down with clearing.  Every new rank is checked against its
     matrix shape and every new dimension for h >= 0, also under -O.
     """
     key = (m, nonfaces, p)
     entry = _F2_DATA.get(key)
     if entry is not None and None not in entry[1][lo:hi + 1]:
         return entry
-    bitmap = _face_bitmap_from_nonfaces(m, nonfaces)
-    groups = None
     if entry is None:
-        if lo <= 1 and hi >= m:
-            # a full request lists every size anyway, so it needs no indicators,
-            # which take (m + 1) 2^m bits
-            groups = _faces_by_size(m, bitmap)
-            counts = tuple(len(g) for g in groups)
-        else:
-            counts = tuple((bitmap & ind).bit_count() for ind in _size_indicators(m))
-        # a map with no faces on either side has rank 0
-        ranks = [None if 0 < s <= m and counts[s] and counts[s - 1] else 0
-                 for s in range(m + 2)]
-        h = [None] * (m + 1)
+        counts, ranks, h = [None] * (m + 1), [0] + [None] * m + [0], [None] * (m + 1)
     else:
-        counts, ranks, h = entry[0], list(entry[1]), list(entry[2])
-    missing = [s for s in range(lo, hi + 1) if ranks[s] is None]
-    if missing:
-        if groups is None:
-            groups = _faces_by_size(m, bitmap & _size_band(m, missing[0] - 1, missing[-1]))
-        pivots = ()
-        for s in range(missing[-1], missing[0] - 1, -1):
-            if ranks[s] is not None:
-                pivots = ()
-                continue
-            big = groups[s]
-            if pivots:
-                big = [f for i, f in enumerate(big) if i not in pivots]
-            if p == 2:
-                pivots = rank_f2_columns(_boundary_columns_f2(groups[s - 1], big))
-            else:
-                pivots = rank_mod_p(_boundary_rows_signed(groups[s - 1], big), p)
-            ranks[s] = _check_rank(len(pivots), counts[s - 1], counts[s], s)
-    for s in range(m + 1):
+        counts, ranks, h = (list(v) for v in entry)
+    sizes = range(max(lo - 1, 0), min(hi, m) + 1)
+    groups = _band_faces(m, nonfaces, sizes[0], sizes[-1])
+    for s in sizes:
+        counts[s] = len(groups[s])
+    pivots = ()
+    for s in range(min(hi, m), max(lo, 1) - 1, -1):
+        if ranks[s] is not None:
+            pivots = ()
+            continue
+        big = groups[s]
+        if pivots:
+            big = [f for i, f in enumerate(big) if i not in pivots]
+        if p == 2:
+            pivots = rank_f2_columns(_boundary_columns_f2(groups[s - 1], big))
+        else:
+            pivots = rank_mod_p(_boundary_rows_signed(groups[s - 1], big), p)
+        ranks[s] = _check_rank(len(pivots), counts[s - 1], counts[s], s)
+    for s in sizes:
         if h[s] is None and ranks[s] is not None and ranks[s + 1] is not None:
             h[s] = counts[s] - ranks[s] - ranks[s + 1]
             if h[s] < 0:
                 raise InternalCheckError(f"negative homology dimension {h[s]} at q={s - 1}")
-    entry = _F2_DATA[key] = (counts, tuple(ranks), tuple(h))
+    entry = _F2_DATA[key] = (tuple(counts), tuple(ranks), tuple(h))
     return entry
 
 
@@ -397,8 +404,7 @@ def _exact_rank_q(m: int, nonfaces: tuple[int, ...], s: int) -> int:
                 # GF(2) rank is a lower bound for the rational rank
                 r = f2_ranks[s]
             else:
-                groups = _faces_by_size(
-                    m, _face_bitmap_from_nonfaces(m, nonfaces) & _size_band(m, s - 1, s))
+                groups = _band_faces(m, nonfaces, s - 1, s)
                 r = _check_rank(len(rank_bareiss(_boundary_rows_signed(groups[s - 1], groups[s]))),
                                 counts[s - 1], counts[s], s)
         _QRANKS[key] = r
@@ -428,7 +434,7 @@ def homology_profile(m: int, nonfaces: tuple[int, ...], field: FieldSpec) -> tup
     prof = _PROFILES.get(key)
     if prof is not None:
         return prof
-    counts, _, h = _boundary_ranks(m, nonfaces, field.p or 2, 1, m)
+    counts, _, h = _boundary_ranks(m, nonfaces, field.p or 2, 0, m + 1)
     if field.p is None:
         h = [exact_rational_hq(m, nonfaces, q) for q in range(-1, m)]
     euler_faces = sum(c if s % 2 else -c for s, c in enumerate(counts))
@@ -441,7 +447,9 @@ def homology_profile(m: int, nonfaces: tuple[int, ...], field: FieldSpec) -> tup
 
 
 def clear_caches() -> None:
-    """Drop memoized homology data (mainly for long-running processes)."""
+    """Drop memoized homology data (mainly for long-running processes).
+    The size masks stay: they depend on m alone and take at most about
+    240 KiB in all."""
     _F2_DATA.clear()
     _PROFILES.clear()
     _QRANKS.clear()

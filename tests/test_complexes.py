@@ -1,6 +1,7 @@
 """Complexes and the exact homology engine, cross-checked against a plain
 Fraction-elimination oracle."""
 
+import math
 import os
 import random
 import subprocess
@@ -377,8 +378,11 @@ class TestSparseElimination:
                     complexes.clear_caches()
                     lo = rng.randint(1, m)
                     hi = rng.randint(lo, m)
-                    ranks = complexes._boundary_ranks(m, nonfaces, p, lo, hi)[1]
+                    counts, ranks, _ = complexes._boundary_ranks(m, nonfaces, p, lo, hi)
                     assert ranks[lo:hi + 1] == tuple(uncleared[lo:hi + 1])
+                    # only the sizes lo-1..hi are listed and counted
+                    assert counts == tuple(len(g) if lo - 1 <= s <= hi else None
+                                           for s, g in enumerate(groups))
                     assert complexes._boundary_ranks(m, nonfaces, p, 1, m)[1] == tuple(uncleared)
             # over Q, the pivot rows of the map above clear the map below too
             pivots = ()
@@ -389,6 +393,19 @@ class TestSparseElimination:
                 assert len(rank_bareiss(kept)) == len(full)
                 assert len(full) == fraction_rank(dense_rows(cols, len(groups[s - 1])))
                 pivots = full
+
+    def test_size_bands(self):
+        """The band masks mark exactly the subset indices with lo..hi bits
+        set, and masks are cached only up to the size limit."""
+        for m in range(9):
+            for lo in range(-1, m + 2):
+                for hi in range(lo - 1, m + 2):
+                    want = sum(1 << x for x in range(1 << m) if lo <= x.bit_count() <= hi)
+                    assert complexes._size_band(m, lo, hi) == want, (m, lo, hi)
+        m = complexes._CACHED_MASK_VERTICES + 1
+        band = complexes._size_band(m, 3, 5)
+        assert band.bit_count() == sum(math.comb(m, s) for s in (3, 4, 5))
+        assert complexes._AT_MOST and all(key[0] < m for key in complexes._AT_MOST)
 
     def test_kernels_on_dependent_columns(self):
         rng = random.Random(33)
