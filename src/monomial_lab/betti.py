@@ -11,7 +11,15 @@ vertex is a cone point and kills the homology.
 
 Every table walk visits the saturated sigma in descending-submask order
 (`_saturated_sigmas`) and relabels each one's generators onto
-0..|sigma|-1 without re-sorting.  The Betti table reads the full homology
+0..|sigma|-1 without re-sorting.  The walk restricts the generators by
+bitsets: a `MaskIndex` keeps, for each vertex v, the bitset G_v of the
+positions of the generators that contain v, and the generators inside
+sigma are all positions but the OR of G_v over the vertices outside sigma.
+The pruned scans visit sigma near the full support, so that is a few ORs
+instead of a subset test per generator.  The generators are listed from
+that bitset in their order, and sigma is saturated when their union is
+sigma.  The relabelling reads one row of a bit-extract table per byte of
+sigma (`complexes._remap`).  The Betti table reads the full homology
 profile of every sigma.  Regularity, projective dimension and the N_k
 criterion maximize over the table (`_scan_max`) and prune the walk on the
 size of sigma alone, before its restricted generators are listed.  The
@@ -55,7 +63,7 @@ from .complexes import (
     _boundary_ranks,
     _remap,
 )
-from .core import Ideal, InputError, canon_key, mask_to_vars
+from .core import Ideal, InputError, MaskIndex, canon_key, mask_to_vars
 
 
 def _saturated_sigmas(gen_masks, supp: int, floor=(0,)):
@@ -65,13 +73,19 @@ def _saturated_sigmas(gen_masks, supp: int, floor=(0,)):
     again for every sigma, so a caller may raise it mid-walk; smaller subsets
     are rejected on their size alone, before their generators are listed.
     The restricted generators keep the order of gen_masks."""
+    index = MaskIndex(gen_masks)
     sigma = supp
     while True:
         if sigma.bit_count() >= floor[0]:
-            restricted = [g for g in gen_masks if g & ~sigma == 0]
+            inside = index.inside(sigma)
+            restricted = []
             union = 0
-            for g in restricted:
+            while inside:
+                low = inside & -inside
+                inside ^= low
+                g = gen_masks[low.bit_length() - 1]
                 union |= g
+                restricted.append(g)
             if union == sigma:
                 yield sigma, restricted
         if sigma == 0:

@@ -154,35 +154,64 @@ def restrict_complex(C: SimplicialComplex, sigma) -> SimplicialComplex:
     return SimplicialComplex(C.ambient, tuple(f & smask for f in C.facets))
 
 
+_EXTRACT: list[bytes | None] = [None] * 256
+# translate tables: _SET_BIT[k] maps each byte v to v | 2^k
+_SET_BIT = [bytes([v | 1 << k for v in range(256)]) for k in range(8)]
+
+
+def _extract_row(s: int) -> bytes:
+    """Row s of the bit-extract table, built on first use: entry x holds
+    the bits of x & s packed, in order, into bits 0..|s|-1."""
+    row = _EXTRACT[s]
+    if row is None:
+        row = b"\0"  # the entries for x < 2^b after b bits
+        k = 0
+        for b in range(8):
+            if s >> b & 1:
+                row += row.translate(_SET_BIT[k])
+                k += 1
+            else:
+                row += row
+        _EXTRACT[s] = row
+    return row
+
+
 def _remap(sigma: int, masks) -> tuple[int, tuple[int, ...]]:
     """Relabel the vertices of sigma as bits 0..m-1, keeping their order,
     and return (m, the masks relabelled).  Every mask must lie inside sigma.
-    The relabelling is monotone on masks, so masks listed in canonical order
-    come out in canonical order."""
-    pos: dict[int, int] = {}
-    rem = sigma
-    while rem:
-        low = rem & -rem
-        rem ^= low
-        pos[low] = 1 << len(pos)
+    Each byte of a mask is relabelled by one lookup in the row of the
+    bit-extract table for the matching byte of sigma.  The relabelling is
+    monotone on masks, so masks listed in canonical order come out in
+    canonical order."""
+    parts = []  # (shift in, table row, shift out) per nonzero byte of sigma
+    m = 0
+    shift = 0
+    rest = sigma
+    while rest:
+        s = rest & 255
+        if s:
+            parts.append((shift, _extract_row(s), m))
+            m += s.bit_count()
+        rest >>= 8
+        shift += 8
     local = []
     for g in masks:
         lg = 0
-        while g:
-            low = g & -g
-            g ^= low
-            lg |= pos[low]
+        for shift, row, at in parts:
+            lg |= row[g >> shift & 255] << at
         local.append(lg)
-    return len(pos), tuple(local)
+    return m, tuple(local)
 
 
 # --- face bitmaps ------------------------------------------------------------
 
 _PATTERNS: dict[int, list[tuple[int, int]]] = {}
+_CACHED_MASK_VERTICES = 16  # m masks of 2^m bits: 128 KiB at m = 16
 
 
 def _bit_patterns(m: int) -> list[tuple[int, int]]:
-    """For each vertex bit b: (indicator of subset-indices with bit b unset, 2^b)."""
+    """For each vertex bit b: (indicator of subset-indices with bit b unset, 2^b).
+    Cached for m <= _CACHED_MASK_VERTICES only."""
     pats = _PATTERNS.get(m)
     if pats is None:
         pats = []
@@ -196,7 +225,8 @@ def _bit_patterns(m: int) -> list[tuple[int, int]]:
                 pat |= pat << width
                 width *= 2
             pats.append((pat, step))
-        _PATTERNS[m] = pats
+        if m <= _CACHED_MASK_VERTICES:
+            _PATTERNS[m] = pats
     return pats
 
 
@@ -226,7 +256,6 @@ def _face_bitmap_from_facets(m: int, facets) -> int:
 
 
 _AT_MOST: dict[tuple[int, int], int] = {}
-_CACHED_MASK_VERTICES = 16  # m masks of 2^m bits: 128 KiB at m = 16
 
 
 def _at_most(m: int, k: int) -> int:
@@ -448,8 +477,10 @@ def homology_profile(m: int, nonfaces: tuple[int, ...], field: FieldSpec) -> tup
 
 def clear_caches() -> None:
     """Drop memoized homology data (mainly for long-running processes).
-    The size masks stay: they depend on m alone and take at most about
-    240 KiB in all."""
+    The size masks, bit patterns and bit-extract rows stay: they depend on
+    m or on one byte alone.  The masks and patterns are cached for
+    m <= _CACHED_MASK_VERTICES only, at most about 240 KiB each, and the
+    rows take at most 64 KiB."""
     _F2_DATA.clear()
     _PROFILES.clear()
     _QRANKS.clear()

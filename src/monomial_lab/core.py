@@ -157,6 +157,43 @@ def minimalize_masks(masks) -> tuple[int, ...]:
     return tuple(out)
 
 
+class MaskIndex:
+    """Answers "which masks of a list lie inside the set b?" with a few ORs.
+
+    For each vertex v of the masks' union, `by_vertex[1 << v]` is the bitset
+    G_v of the positions of the masks that contain v.  A mask lies inside b
+    exactly when it contains no vertex of the union outside b, so the masks
+    inside b are every position but the OR of G_v over those vertices: one
+    OR per vertex outside b, instead of one subset test per mask.
+    """
+
+    __slots__ = ("by_vertex", "union", "every")
+
+    def __init__(self, masks):
+        by_vertex: dict[int, int] = {}
+        bit = 1
+        for g in masks:
+            while g:
+                low = g & -g
+                g ^= low
+                by_vertex[low] = by_vertex.get(low, 0) | bit
+            bit <<= 1
+        self.by_vertex = by_vertex
+        self.union = sum(by_vertex)
+        self.every = bit - 1
+
+    def inside(self, b: int) -> int:
+        """Bitset of the positions of the masks that lie inside b."""
+        by_vertex = self.by_vertex
+        excluded = 0
+        rem = self.union & ~b
+        while rem:
+            low = rem & -rem
+            rem ^= low
+            excluded |= by_vertex[low]
+        return self.every & ~excluded
+
+
 @dataclass(frozen=True)
 class Ideal:
     """A squarefree monomial ideal given by its minimal generating set.
@@ -178,13 +215,21 @@ class Ideal:
                 raise InputError(f"generator ambient {g.ambient} != ideal ambient {self.ambient}")
             if g.mask == 0:
                 raise InputError("1 is not a valid generator (unit ideal is not representable)")
-        masks = [g.mask for g in gens]
-        if len(set(masks)) != len(masks):
+        by_mask = {g.mask: g for g in gens}
+        if len(by_mask) != len(gens):
             raise InputError("duplicate generators; use minimal_generators to canonicalize")
-        for a, b in itertools.combinations(masks, 2):
-            if a & ~b == 0 or b & ~a == 0:
-                raise InputError("generators are not an antichain; use minimal_generators")
-        object.__setattr__(self, "gens", tuple(sorted(gens, key=lambda g: canon_key(g.mask))))
+        masks = sorted(by_mask, key=canon_key)
+        # A generator inside another one has the smaller degree, so only the
+        # generators below the top degree, a prefix in canonical order, are
+        # indexed.  An antichain: the only indexed generator inside each
+        # generator is itself, if it is indexed.
+        top = masks[-1].bit_count() if masks else 0
+        below = MaskIndex(m for m in masks if m.bit_count() < top)
+        if below.every:
+            for i, g in enumerate(masks):
+                if below.inside(g) != (1 << i) & below.every:
+                    raise InputError("generators are not an antichain; use minimal_generators")
+        object.__setattr__(self, "gens", tuple(by_mask[m] for m in masks))
 
     @classmethod
     def from_masks(cls, ambient: int, masks) -> "Ideal":

@@ -19,6 +19,7 @@ from .complexes import RATIONALS, FieldSpec
 from .core import (
     Ideal,
     InputError,
+    MaskIndex,
     Monomial,
     PreconditionError,
     TheoremViolationError,
@@ -73,12 +74,14 @@ def n2_verdict_masks(gens: tuple[int, ...], d: int):
     and later pairs with that lcm read it.  A later start a2 lies in that
     component: a and a2 both divide the lcm, and the pair (a, a2), checked
     before a2's pairs, is adjacent or was connected inside lcm(a, a2),
-    which divides the lcm.
+    which divides the lcm.  The members of each subgraph are found with a
+    `MaskIndex` over the generators, one OR per vertex outside the lcm.
     """
     r = len(gens)
     if r <= 1:
         return True, None
     adj = _adjacency(gens, d)
+    index = None  # built when the first subgraph is needed
     components: dict[int, int] = {}
     for a in range(r):
         adj_a = adj[a]
@@ -89,11 +92,9 @@ def n2_verdict_masks(gens: tuple[int, ...], d: int):
             big = ga | gens[b]
             comp = components.get(big)
             if comp is None:
-                members = 0
-                for i in range(r):
-                    if gens[i] & ~big == 0:
-                        members |= 1 << i
-                comp = components[big] = _reach(adj, members, 1 << a, 0)
+                if index is None:
+                    index = MaskIndex(gens)
+                comp = components[big] = _reach(adj, index.inside(big), 1 << a, 0)
             if not comp >> b & 1:
                 return False, (a, b)
     return True, None

@@ -19,6 +19,14 @@ def minimal_transversals(masks) -> tuple[int, ...]:
     the earlier sets; and a kept member inside an extension is what the
     check drops.  Exponential in the worst case, fine at desk scale.
     For an empty family the unique minimal transversal is the empty set.
+
+    The drop test does not scan the kept members once per extension.  A
+    kept member h inside t|v meets s in v alone, since h meets s and t
+    misses s, and it lies inside t|s.  Conversely a kept member inside t|s
+    that meets s in v alone lies inside t|v.  So only the kept members that
+    meet s in one vertex can drop an extension; they are listed once per
+    s, and once per t those inside t|s name the vertices v whose extension
+    t|v is dropped.
     """
     partial: list[int] = [0]
     for s in masks:
@@ -28,13 +36,17 @@ def minimal_transversals(masks) -> tuple[int, ...]:
         miss = []
         for t in partial:
             (hit if t & s else miss).append(t)
-        partial = list(hit)
+        partial = hit
+        # (h, the one vertex of s in h) for the kept members h meeting s once
+        single = [(h, v) for h in hit if not (v := h & s) & (v - 1)]
         for t in miss:
-            rem = s
+            ts = t | s
+            dropped = 0
+            for v in [v for h, v in single if not h & ~ts]:
+                dropped |= v
+            rem = s & ~dropped
             while rem:
                 low = rem & -rem
                 rem ^= low
-                cand = t | low
-                if not any(h & ~cand == 0 for h in hit):
-                    partial.append(cand)
+                partial.append(t | low)
     return tuple(sorted(partial, key=canon_key))

@@ -329,3 +329,60 @@ def unpruned_nk_betti(gens, d, k, field):
             elif homology_profile(m, local, field)[idx]:
                 return False
     return True
+
+
+# --- the reference saturated walk ---------------------------------------------
+#
+# The package's walk as it was before generator bitsets and the bit-extract
+# relabel table: each sigma lists its generators by a subset test per
+# generator, checks their union, and relabels them vertex by vertex.
+
+
+def _reference_remap(sigma, masks):
+    pos = {}
+    rem = sigma
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        pos[low] = 1 << len(pos)
+    local = []
+    for g in masks:
+        lg = 0
+        while g:
+            low = g & -g
+            g ^= low
+            lg |= pos[low]
+        local.append(lg)
+    return len(pos), tuple(local)
+
+
+def oracle_saturated_walk(gen_masks, supp, floor=0):
+    """(sigma, m, local generators in the order of gen_masks) for every
+    saturated sigma of at least `floor` vertices, in descending-submask
+    order."""
+    out = []
+    sigma = supp
+    while True:
+        if sigma.bit_count() >= floor:
+            restricted = [g for g in gen_masks if g & ~sigma == 0]
+            union = 0
+            for g in restricted:
+                union |= g
+            if union == sigma:
+                out.append((sigma, *_reference_remap(sigma, restricted)))
+        if sigma == 0:
+            return out
+        sigma = (sigma - 1) & supp
+
+
+def oracle_is_antichain(masks) -> bool:
+    """No mask inside another one, duplicates included, by pairwise tests."""
+    return not any(a & ~b == 0 for i, a in enumerate(masks)
+                   for j, b in enumerate(masks) if i != j)
+
+
+def spread(masks, n: int, width: int, rng: random.Random):
+    """The masks on n variables moved to n sorted random positions among
+    `width`, as the benchmark embeds its inputs."""
+    pos = sorted(rng.sample(range(width), n))
+    return [sum(1 << pos[i] for i in range(n) if g >> i & 1) for g in masks]

@@ -11,8 +11,10 @@ from oracles import (
     minimalize,
     oracle_homology,
     oracle_quotient_betti,
+    oracle_saturated_walk,
     random_gens,
     random_mask,
+    spread,
     taylor_counts,
     unpruned_nk_betti,
     unpruned_projective_dimension,
@@ -343,17 +345,23 @@ class TestBandedScan:
 
 
 class TestSaturatedWalk:
-    def test_raised_floor_lists_no_smaller_sigma(self):
+    def test_raised_floor_lists_no_smaller_sigma(self, monkeypatch):
         """Once the floor is raised after the first yield, no sigma below it
-        has its restricted generators listed."""
+        has its restricted generators listed.  The walk lists them by asking
+        its generator index for the generators inside sigma; the spy index
+        records every sigma asked about."""
+        from monomial_lab import betti
         from monomial_lab.betti import _saturated_sigmas
+        from monomial_lab.core import MaskIndex
 
         listed = []
 
-        class Spy(int):
-            def __and__(self, other):  # g & ~sigma, while listing sigma's generators
-                listed.append(~other)
-                return int(self) & other
+        class Spy(MaskIndex):
+            __slots__ = ()
+
+            def inside(self, b):
+                listed.append(b)
+                return super().inside(b)
 
         rng = random.Random(33)
         for _ in range(20):
@@ -364,14 +372,39 @@ class TestSaturatedWalk:
                 supp |= g
             full = list(_saturated_sigmas(gens, supp))
             floor = [0]
-            walk = _saturated_sigmas([Spy(g) for g in gens], supp, floor)
-            first, _ = next(walk)
-            floor[0] = rng.randint(1, supp.bit_count())
-            listed.clear()
-            rest = [sigma for sigma, _ in walk]
+            with monkeypatch.context() as m:
+                m.setattr(betti, "MaskIndex", Spy)
+                walk = _saturated_sigmas(gens, supp, floor)
+                first, _ = next(walk)
+                floor[0] = rng.randint(1, supp.bit_count())
+                listed.clear()
+                rest = [sigma for sigma, _ in walk]
             assert all(sigma.bit_count() >= floor[0] for sigma in listed)
+            assert set(rest) <= set(listed)
             assert [first] + rest == [full[0][0]] + [
                 sigma for sigma, _ in full[1:] if sigma.bit_count() >= floor[0]]
+
+    def test_matches_reference_walk(self):
+        """The walk and its relabelling give the reference walk's (sigma, m,
+        local generators in generator order), in its order, on generators
+        in any order spread over up to three bytes, with and without a
+        floor."""
+        from monomial_lab.betti import _saturated_sigmas
+        from monomial_lab.complexes import _remap
+
+        rng = random.Random(61)
+        for trial in range(200):
+            n = rng.randint(1, 9)
+            gens = spread(random_gens(rng, n, rng.randint(1, 9)), n, rng.randint(n, 24), rng)
+            if trial % 2:
+                rng.shuffle(gens)
+            supp = 0
+            for g in gens:
+                supp |= g
+            floor = rng.randint(0, supp.bit_count()) if trial % 3 == 0 else 0
+            got = [(sigma, *_remap(sigma, restricted))
+                   for sigma, restricted in _saturated_sigmas(gens, supp, [floor])]
+            assert got == oracle_saturated_walk(gens, supp, floor)
 
 
 class TestRegularity:

@@ -16,6 +16,7 @@ from oracles import (
     mod_rank,
     oracle_homology,
     oracle_sr_facets,
+    _reference_remap,
     random_gens,
     random_mask,
 )
@@ -407,6 +408,17 @@ class TestSparseElimination:
         assert band.bit_count() == sum(math.comb(m, s) for s in (3, 4, 5))
         assert complexes._AT_MOST and all(key[0] < m for key in complexes._AT_MOST)
 
+    def test_bit_patterns_cached_up_to_limit(self):
+        """The vertex-bit patterns mark the subset indices with the bit unset,
+        and are cached only up to the size limit, as the size masks are."""
+        for m in range(7):
+            for b, (pat, step) in enumerate(complexes._bit_patterns(m)):
+                assert step == 1 << b
+                assert pat == sum(1 << x for x in range(1 << m) if not x >> b & 1)
+        m = complexes._CACHED_MASK_VERTICES + 1
+        assert len(complexes._bit_patterns(m)) == m
+        assert complexes._PATTERNS and max(complexes._PATTERNS) < m
+
     def test_kernels_on_dependent_columns(self):
         rng = random.Random(33)
         for _ in range(150):
@@ -525,3 +537,21 @@ class TestMinimalNonfaces:
             want = homology_profile(k, nonfaces, field)
             assert got == {q: want[q + 1] for q in range(-1, C.dim + 1)}
         assert got == {-1: 0, 0: 0, 1: 1, 2: 19, 3: 0}
+
+
+class TestRemap:
+    def test_matches_reference_relabelling(self):
+        """The bit-extract table relabels like the vertex-by-vertex
+        reference, on supports anywhere in 64 bits, with every byte of
+        sigma empty, partly or fully set."""
+        rng = random.Random(71)
+        for trial in range(400):
+            width = rng.choice((8, 16, 24, 64))
+            sigma = 0
+            for b in rng.sample(range(width), rng.randint(0, min(width, 20))):
+                sigma |= 1 << b
+            if trial % 5 == 0:
+                sigma |= 0xFF << 8 * rng.randrange(width // 8)
+            bits = [1 << b for b in range(width) if sigma >> b & 1]
+            masks = [sum(b for b in bits if rng.random() < 0.5) for _ in range(rng.randint(0, 6))]
+            assert complexes._remap(sigma, masks) == _reference_remap(sigma, masks)

@@ -5,11 +5,13 @@ import random
 import pytest
 from oracles import (
     minimalize,
+    oracle_is_antichain,
     oracle_intersection,
     oracle_localize,
     oracle_sum,
     oracle_truncation,
     random_gens,
+    random_mask,
 )
 
 from monomial_lab.core import (
@@ -17,6 +19,7 @@ from monomial_lab.core import (
     CapacityError,
     Ideal,
     InputError,
+    MaskIndex,
     Monomial,
     divides,
     format_ideal,
@@ -112,6 +115,44 @@ class TestIdealConstruction:
     def test_constructor_rejects_non_antichain(self):
         with pytest.raises(InputError):
             Ideal(3, (mono(3, 1), mono(3, 1, 2)))
+
+    def test_antichain_check_against_pairwise_oracle(self):
+        """The constructor accepts a family exactly when no mask lies inside
+        another, on random families with nested, duplicate and same-degree
+        masks, in any order."""
+        rng = random.Random(19)
+        accepted = rejected = 0
+        for _ in range(600):
+            n = rng.randint(1, 12)
+            family = [random_mask(rng, n, rng.randint(1, n)) for _ in range(rng.randint(1, 9))]
+            if rng.random() < 0.5:
+                family = list(minimalize(family))
+                if rng.random() < 0.5:
+                    base = rng.choice(family)
+                    family.append(base | random_mask(rng, n, rng.randint(0, n)))
+            rng.shuffle(family)
+            ok = oracle_is_antichain(family)
+            try:
+                I = Ideal.from_masks(n, family)
+            except InputError:
+                assert not ok, family
+                rejected += 1
+            else:
+                assert ok, family
+                assert I.gen_masks == tuple(sorted(family, key=lambda m: (m.bit_count(), m)))
+                accepted += 1
+        assert accepted > 100 and rejected > 100
+
+    def test_mask_index_lists_the_masks_inside(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            n = rng.randint(1, 20)
+            masks = [random_mask(rng, n, rng.randint(0, n)) for _ in range(rng.randint(0, 12))]
+            index = MaskIndex(masks)
+            for _ in range(5):
+                b = random_mask(rng, n, rng.randint(0, n))
+                want = sum(1 << i for i, g in enumerate(masks) if g & ~b == 0)
+                assert index.inside(b) == want
 
     def test_constructor_rejects_duplicates(self):
         with pytest.raises(InputError):

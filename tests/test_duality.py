@@ -2,11 +2,15 @@
 dimension, with the subset-scan hitting-set oracle as the second route."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from oracles import oracle_dual, random_gens, random_mask
 
+import monomial_lab
 from monomial_lab.betti import projective_dimension, regularity
 from monomial_lab.bounds import faltings_bound, sharp_example
 from monomial_lab.complexes import GF2, RATIONALS
@@ -74,6 +78,105 @@ class TestTransversals:
         for family in ([0], [0b11, 0], [0b1, 0b1, 0, 0b10], [0b111, 0b1, 0]):
             with pytest.raises(ValueError):
                 minimal_transversals(family)
+
+
+class CountingMask(int):
+    """An int whose bitwise and arithmetic results stay CountingMask, with
+    every & counted; masks derived from the family are all counted."""
+
+    ands = 0
+
+    def __and__(self, other):
+        CountingMask.ands += 1
+        return CountingMask(int.__and__(self, other))
+
+    __rand__ = __and__
+
+    def __or__(self, other):
+        return CountingMask(int.__or__(self, other))
+
+    __ror__ = __or__
+
+    def __xor__(self, other):
+        return CountingMask(int.__xor__(self, other))
+
+    __rxor__ = __xor__
+
+    def __invert__(self):
+        return CountingMask(int.__invert__(self))
+
+    def __neg__(self):
+        return CountingMask(int.__neg__(self))
+
+    def __sub__(self, other):
+        return CountingMask(int.__sub__(self, other))
+
+    def __rsub__(self, other):
+        return CountingMask(int.__rsub__(self, other))
+
+
+class TestTransversalWork:
+    def test_against_subset_scan_on_wider_families(self):
+        """Families of up to 40 sets on up to 14 vertices, with duplicate and
+        nested sets, against the subset scan."""
+        rng = random.Random(43)
+        for trial in range(60):
+            n = rng.randint(6, 14)
+            family = [random_mask(rng, n, rng.randint(1, 4)) for _ in range(rng.randint(5, 30))]
+            for _ in range(rng.randint(0, 10)):
+                base = rng.choice(family)
+                family.append(base if rng.random() < 0.5
+                              else base | random_mask(rng, n, rng.randint(1, n)))
+            rng.shuffle(family)
+            assert minimal_transversals(family) == oracle_dual(family, n), trial
+
+    def test_mask_and_count_stays_below_the_all_pairs_scan(self):
+        """A Berge run with about 1k members on 18 vertices.  The drop test
+        that scanned every kept member for every extension made 2,962,713
+        mask & operations here; the filtered test must stay under a quarter
+        of that (it makes about 0.19 of it)."""
+        rng = random.Random(5)
+        family = [random_mask(rng, 18, 4) for _ in range(40)]
+        CountingMask.ands = 0
+        got = minimal_transversals([CountingMask(s) for s in family])
+        assert len(got) == 982
+        assert got == minimal_transversals(family)
+        assert CountingMask.ands <= 2_962_713 // 4
+
+
+OPTIMIZED_CHECKS = """
+import sys
+from monomial_lab.core import Ideal, InputError
+from monomial_lab.transversals import minimal_transversals
+
+print("optimize", sys.flags.optimize)
+cases = {
+    "nested": lambda: Ideal.from_masks(4, [0b0011, 0b0111, 0b1000]),
+    "duplicate": lambda: Ideal.from_masks(4, [0b0101, 0b0011, 0b0101]),
+    "empty-set": lambda: minimal_transversals([0b11, 0, 0b100]),
+}
+for label, call in cases.items():
+    try:
+        call()
+        print(label, "unchecked")
+    except (InputError, ValueError) as exc:
+        print(label, "raised", type(exc).__name__)
+"""
+
+
+class TestChecksSurviveOptimize:
+    def test_input_checks_raise_under_O(self):
+        src = os.path.dirname(os.path.dirname(monomial_lab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:4] == [
+            "optimize 1",
+            "nested raised InputError",
+            "duplicate raised InputError",
+            "empty-set raised ValueError",
+        ]
 
 
 class TestAlexanderDual:
