@@ -11,8 +11,9 @@ import pytest
 from oracles import oracle_dual, random_gens, random_mask
 
 import monomial_lab
+from monomial_lab import complexes, duality, transversals
 from monomial_lab.betti import projective_dimension, regularity
-from monomial_lab.bounds import faltings_bound, sharp_example
+from monomial_lab.bounds import check_corollary1, check_theorem1, faltings_bound, sharp_example
 from monomial_lab.complexes import GF2, RATIONALS
 from monomial_lab.core import Ideal, InputError, Monomial, minimal_generators, truncation
 from monomial_lab.duality import (
@@ -324,3 +325,59 @@ class TestCohomologicalDimension:
     def test_characteristic_dependence_runs(self):
         I, _, _ = remark_example()
         assert cohomological_dimension(I, GF2) == projective_dimension(I, GF2)
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """`work(call)` runs `call` on empty caches and returns its counts of
+    `minimal_transversals` calls and `Ideal` constructions."""
+    counts = {"transversals": 0, "ideals": 0}
+    orig = transversals.minimal_transversals
+
+    def counted(masks):
+        counts["transversals"] += 1
+        return orig(masks)
+
+    for mod in (transversals, complexes, duality):
+        if getattr(mod, "minimal_transversals", None) is orig:
+            monkeypatch.setattr(mod, "minimal_transversals", counted)
+    post_init = Ideal.__post_init__
+
+    def counted_post_init(self):
+        counts["ideals"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Ideal, "__post_init__", counted_post_init)
+
+    def measure(call, clear=True):
+        if clear:
+            complexes.clear_caches()
+        counts["transversals"] = counts["ideals"] = 0
+        call()
+        return counts["transversals"], counts["ideals"]
+
+    yield measure
+    complexes.clear_caches()
+
+
+class TestDualWork:
+    """Timing-free guards: how often a query computes the Alexander dual."""
+
+    TRIANGLE = ideal(3, (1, 2), (2, 3), (1, 3))
+
+    def test_check_corollary1(self, work):
+        # is_S2, cohomological_dimension and the report's height profile
+        assert work(lambda: check_corollary1(self.TRIANGLE)) == (3, 3)
+
+    def test_height_profile_then_is_S2(self, work):
+        I = self.TRIANGLE
+        assert work(lambda: (height_profile(I), is_S2(I))) == (2, 2)
+
+    def test_check_theorem1(self, work):
+        assert work(lambda: check_theorem1(self.TRIANGLE)) == (1, 1)
+
+    def test_clear_caches_forces_recomputation(self, work):
+        I = ideal(4, (1, 2), (2, 3), (3, 4))
+        assert work(lambda: alexander_dual(I)) == (1, 1)
+        assert work(lambda: alexander_dual(I), clear=False) == (1, 1)
+        assert work(lambda: alexander_dual(I)) == (1, 1)
