@@ -1,5 +1,5 @@
-"""Stanley-Reisner complexes, vertex-subset restrictions, and exact reduced
-simplicial homology over the rationals or a prime field.
+"""Stanley-Reisner complexes, Alexander duals, vertex-subset restrictions,
+and exact reduced simplicial homology over the rationals or a prime field.
 
 The homology engine works on "local" complexes: m vertices labelled by bits
 0..m-1, described either by minimal non-faces (the restricted ideal
@@ -132,16 +132,40 @@ class SimplicialComplex:
         return tuple(mask_to_vars(f) for f in self.facets)
 
 
+# The last Alexander dual built, keyed by (ambient, generator masks).  One
+# query asks for the dual of the same ideal from several places (height,
+# S2, cd, the bound reports), so one entry serves it; see `clear_caches`.
+_DUAL: dict[tuple[int, tuple[int, ...]], Ideal] = {}
+
+
+def alexander_dual(I: Ideal) -> Ideal:
+    """Ideal generated by the minimal transversals of the generator supports.
+
+    The last dual built is kept, so a repeat request for the same ideal
+    returns the same (immutable) object.
+    """
+    if I.is_zero:
+        raise InputError("the zero ideal has no Alexander dual here")
+    key = (I.ambient, I.gen_masks)
+    dual = _DUAL.get(key)
+    if dual is None:
+        dual = Ideal.from_masks(I.ambient, minimal_transversals(key[1]))
+        _DUAL.clear()
+        _DUAL[key] = dual
+    return dual
+
+
 def stanley_reisner(I: Ideal) -> SimplicialComplex:
     """Complex whose faces are the squarefree monomials not lying in I.
 
-    Facets are complements of the minimal transversals of the generator
-    supports, so no face enumeration is needed.  The zero ideal gives the
-    full simplex.
+    Facets are complements of the Alexander dual's generators (the minimal
+    transversals of the generator supports), so no face enumeration is
+    needed.  The zero ideal gives the full simplex.
     """
     full = (1 << I.ambient) - 1
-    covers = minimal_transversals(I.gen_masks)
-    return SimplicialComplex(I.ambient, tuple(full ^ t for t in covers))
+    if I.is_zero:
+        return SimplicialComplex(I.ambient, (full,))
+    return SimplicialComplex(I.ambient, tuple(full ^ t for t in alexander_dual(I).gen_masks))
 
 
 def restrict_complex(C: SimplicialComplex, sigma) -> SimplicialComplex:
@@ -476,14 +500,16 @@ def homology_profile(m: int, nonfaces: tuple[int, ...], field: FieldSpec) -> tup
 
 
 def clear_caches() -> None:
-    """Drop memoized homology data (mainly for long-running processes).
-    The size masks, bit patterns and bit-extract rows stay: they depend on
-    m or on one byte alone.  The masks and patterns are cached for
-    m <= _CACHED_MASK_VERTICES only, at most about 240 KiB each, and the
-    rows take at most 64 KiB."""
+    """Drop memoized homology data and the Alexander dual memo `_DUAL`
+    (mainly for long-running processes).  `_DUAL` holds one entry at most,
+    the last dual built.  The size masks, bit patterns and bit-extract rows
+    stay: they depend on m or on one byte alone.  The masks and patterns
+    are cached for m <= _CACHED_MASK_VERTICES only, at most about 240 KiB
+    each, and the rows take at most 64 KiB."""
     _F2_DATA.clear()
     _PROFILES.clear()
     _QRANKS.clear()
+    _DUAL.clear()
 
 
 def reduced_homology_dims(C: SimplicialComplex, field: FieldSpec = RATIONALS) -> dict[int, int]:

@@ -6,6 +6,13 @@ the generator supports.  S2 is decided by the dual-side criterion (pure
 dual generated in the height degree, linearly presented); cohomological
 dimension is the regularity of the dual, cross-checked against the
 projective dimension of the quotient on every call.
+
+The dual is computed once per query: `alexander_dual` lives in
+`complexes`, beside `stanley_reisner`, which reads its facets off the
+same dual, and keeps the last dual built in the one-entry memo
+`complexes._DUAL`, emptied by `complexes.clear_caches`.  So `is_S2`,
+`cohomological_dimension` and the bound reports, which each ask for the
+height profile or the dual of the same ideal, share one dual.
 """
 
 from __future__ import annotations
@@ -14,17 +21,9 @@ import json
 from dataclasses import dataclass
 
 from .betti import projective_dimension, regularity
-from .complexes import RATIONALS, FieldSpec
-from .core import Ideal, InputError, InternalCheckError
+from .complexes import RATIONALS, FieldSpec, alexander_dual
+from .core import Ideal, InternalCheckError
 from .linearity import n2_verdict_masks
-from .transversals import minimal_transversals
-
-
-def alexander_dual(I: Ideal) -> Ideal:
-    """Ideal generated by the minimal transversals of the generator supports."""
-    if I.is_zero:
-        raise InputError("the zero ideal has no Alexander dual here")
-    return Ideal.from_masks(I.ambient, minimal_transversals(I.gen_masks))
 
 
 @dataclass(frozen=True)

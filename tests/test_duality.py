@@ -23,6 +23,7 @@ from monomial_lab.duality import (
     is_S2,
 )
 from monomial_lab.harness import degree_monomial_masks, remark_example
+from monomial_lab.linearity import n2_verdict_masks
 from monomial_lab.transversals import minimal_transversals
 
 
@@ -148,6 +149,7 @@ class TestTransversalWork:
 OPTIMIZED_CHECKS = """
 import sys
 from monomial_lab.core import Ideal, InputError
+from monomial_lab.duality import alexander_dual
 from monomial_lab.transversals import minimal_transversals
 
 print("optimize", sys.flags.optimize)
@@ -155,6 +157,7 @@ cases = {
     "nested": lambda: Ideal.from_masks(4, [0b0011, 0b0111, 0b1000]),
     "duplicate": lambda: Ideal.from_masks(4, [0b0101, 0b0011, 0b0101]),
     "empty-set": lambda: minimal_transversals([0b11, 0, 0b100]),
+    "zero-dual": lambda: alexander_dual(Ideal(3)),
 }
 for label, call in cases.items():
     try:
@@ -172,11 +175,12 @@ class TestChecksSurviveOptimize:
         proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:4] == [
+        assert proc.stdout.split("\n")[:5] == [
             "optimize 1",
             "nested raised InputError",
             "duplicate raised InputError",
             "empty-set raised ValueError",
+            "zero-dual raised InputError",
         ]
 
 
@@ -367,11 +371,12 @@ class TestDualWork:
 
     def test_check_corollary1(self, work):
         # is_S2, cohomological_dimension and the report's height profile
-        assert work(lambda: check_corollary1(self.TRIANGLE)) == (3, 3)
+        # share one dual (three before the dual memo)
+        assert work(lambda: check_corollary1(self.TRIANGLE)) == (1, 1)
 
     def test_height_profile_then_is_S2(self, work):
         I = self.TRIANGLE
-        assert work(lambda: (height_profile(I), is_S2(I))) == (2, 2)
+        assert work(lambda: (height_profile(I), is_S2(I))) == (1, 1)  # was (2, 2)
 
     def test_check_theorem1(self, work):
         assert work(lambda: check_theorem1(self.TRIANGLE)) == (1, 1)
@@ -379,5 +384,82 @@ class TestDualWork:
     def test_clear_caches_forces_recomputation(self, work):
         I = ideal(4, (1, 2), (2, 3), (3, 4))
         assert work(lambda: alexander_dual(I)) == (1, 1)
+        assert work(lambda: alexander_dual(I), clear=False) == (0, 0)  # was (1, 1)
+        assert len(complexes._DUAL) == 1
+        complexes.clear_caches()
+        assert not complexes._DUAL
         assert work(lambda: alexander_dual(I), clear=False) == (1, 1)
-        assert work(lambda: alexander_dual(I)) == (1, 1)
+
+
+class TestDualMemo:
+    """The one-entry dual memo against the subset scan: it must never hand
+    back the dual of another ideal."""
+
+    def check(self, I, n, gens, how):
+        expected = oracle_dual(gens, n)
+        if how == "dual":
+            dual = alexander_dual(I)
+        elif how == "height":
+            dual = height_profile(I).dual
+        else:
+            ok, c = is_S2(I)
+            degs = {g.bit_count() for g in expected}
+            assert c == min(degs)
+            assert ok == (len(degs) == 1 and n2_verdict_masks(expected, c)[0])
+            dual = alexander_dual(I)
+        assert dual.ambient == n
+        assert dual.gen_masks == expected
+        assert len(complexes._DUAL) <= 1
+
+    def test_interleaved_against_subset_scan(self):
+        """About 200 requests: new ideals, repeats of the last or an earlier
+        one (A, B, A, A', ...), equal ideals built as separate objects, and
+        the same masks at a larger ambient."""
+        rng = random.Random(46)
+        complexes.clear_caches()
+        seen = []
+        steps = 0
+        while steps < 200:
+            kind = rng.random()
+            if seen and kind < 0.2:
+                I, n, gens = seen[-1]  # the same object again
+            elif len(seen) > 1 and kind < 0.45:
+                _, n, gens = rng.choice(seen[-4:-1])  # an earlier ideal, rebuilt
+                I = Ideal.from_masks(n, gens)
+            elif seen and kind < 0.6:
+                _, n, gens = seen[-1]  # the same masks, more variables
+                n = min(n + rng.randint(1, 2), 10)
+                I = Ideal.from_masks(n, gens)
+            else:
+                n = rng.randint(1, 8)
+                gens = random_gens(rng, n, rng.randint(1, 6))
+                if not gens:
+                    continue
+                I = Ideal.from_masks(n, gens)
+            seen.append((I, n, gens))
+            self.check(I, n, gens, rng.choice(("dual", "height", "s2")))
+            steps += 1
+
+    def test_same_masks_at_two_ambients(self):
+        complexes.clear_caches()
+        for n in (3, 4, 3, 4, 4):
+            I = Ideal.from_masks(n, [0b11])
+            dual = alexander_dual(I)
+            assert dual.ambient == n and dual.gen_masks == (0b01, 0b10)
+            assert height_profile(I).dual.ambient == n
+
+    def test_equal_ideals_share_the_dual(self):
+        complexes.clear_caches()
+        A = ideal(4, (1, 2), (2, 3), (3, 4))
+        B = ideal(4, (3, 4), (1, 2), (2, 3))
+        assert A == B and A is not B
+        assert alexander_dual(B) is alexander_dual(A)
+        assert alexander_dual(A) == ideal(4, (1, 3), (2, 3), (2, 4))
+
+    def test_zero_ideal_raises_before_the_memo(self):
+        complexes.clear_caches()
+        D = alexander_dual(ideal(3, (1, 2)))
+        for call in (alexander_dual, height_profile, is_S2):
+            with pytest.raises(InputError):
+                call(Ideal(3))
+        assert list(complexes._DUAL.values()) == [D]
