@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (CapacityError, InputError, InternalCheckError, Ideal, canon_key,
-                   mask_to_vars, _vars_to_mask)
+                   mask_to_vars, minimalize_masks, _vars_to_mask)
 from .exact_rank import rank_bareiss, rank_f2_columns, rank_mod_p
 from .transversals import minimal_transversals
 
@@ -96,21 +96,25 @@ class SimplicialComplex:
     """Facet list on vertices 1..ambient (stored as bitmasks).
 
     The void complex (no faces) is (); the irrelevant complex, whose only
-    face is the empty set, is (0,).  Facets are kept maximal, deduplicated
-    and canonically sorted.
+    face is the empty set, is (0,).  Every facet must be an int mask inside
+    the ambient vertex range.  Facets are kept maximal, deduplicated and
+    canonically sorted: the maximal facets are the complements of the
+    minimal complements (`minimalize_masks`).
     """
 
     ambient: int
     facets: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.ambient < 0 or self.ambient > 64:
-            raise InputError(f"bad ambient {self.ambient}")
-        seen = sorted(set(self.facets), key=canon_key)
-        maximal = [f for f in seen if not any(f != g and f & ~g == 0 for g in seen)]
-        for f in maximal:
-            if f >> self.ambient:
-                raise InputError("facet outside ambient vertex range")
+        if not isinstance(self.ambient, int) or not 0 <= self.ambient <= 64:
+            raise InputError(f"bad ambient {self.ambient!r}")
+        facets = tuple(self.facets)
+        full = (1 << self.ambient) - 1
+        for f in facets:
+            if not isinstance(f, int) or f < 0 or f & ~full:
+                raise InputError(f"facet {f!r} outside ambient vertex range")
+        maximal = sorted((full ^ c for c in minimalize_masks(full ^ f for f in facets)),
+                         key=canon_key)
         object.__setattr__(self, "facets", tuple(maximal))
 
     @classmethod

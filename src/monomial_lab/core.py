@@ -148,12 +148,26 @@ def canon_key(mask: int) -> tuple[int, int]:
 
 
 def minimalize_masks(masks) -> tuple[int, ...]:
-    """Antichain of divisibility-minimal masks, deduplicated, canonically sorted."""
+    """Antichain of divisibility-minimal masks, deduplicated, canonically sorted.
+
+    A mask inside another one has the smaller degree, so a family of one
+    degree is returned once deduplicated.  Otherwise, in canonical order, a
+    mask is kept when no kept mask lies inside it; the kept masks below the
+    top degree are indexed as they are found (`MaskIndex.add`).
+    """
     uniq = sorted(set(masks), key=canon_key)
-    out: list[int] = []
+    if not uniq:
+        return ()
+    top = uniq[-1].bit_count()
+    if uniq[0].bit_count() == top:
+        return tuple(uniq)
+    index = MaskIndex()
+    out = []
     for m in uniq:
-        if not any(g & ~m == 0 for g in out):
+        if not index.inside(m):
             out.append(m)
+            if m.bit_count() < top:
+                index.add(m)
     return tuple(out)
 
 
@@ -165,22 +179,32 @@ class MaskIndex:
     exactly when it contains no vertex of the union outside b, so the masks
     inside b are every position but the OR of G_v over those vertices: one
     OR per vertex outside b, instead of one subset test per mask.
+
+    Its users are the saturated-subset walk (`betti`), the N_2 subgraphs
+    (`linearity`) and `minimalize_masks`, the one antichain filter: the
+    `Ideal` check, `minimal_generators`, the ideal operations and the
+    maximal facets of a `SimplicialComplex` all go through it.
     """
 
     __slots__ = ("by_vertex", "union", "every")
 
-    def __init__(self, masks):
-        by_vertex: dict[int, int] = {}
-        bit = 1
+    def __init__(self, masks=()):
+        self.by_vertex: dict[int, int] = {}
+        self.union = 0
+        self.every = 0
         for g in masks:
-            while g:
-                low = g & -g
-                g ^= low
-                by_vertex[low] = by_vertex.get(low, 0) | bit
-            bit <<= 1
-        self.by_vertex = by_vertex
-        self.union = sum(by_vertex)
-        self.every = bit - 1
+            self.add(g)
+
+    def add(self, mask: int) -> None:
+        """Index `mask` at the next position."""
+        bit = self.every + 1
+        self.every |= bit
+        self.union |= mask
+        by_vertex = self.by_vertex
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            by_vertex[low] = by_vertex.get(low, 0) | bit
 
     def inside(self, b: int) -> int:
         """Bitset of the positions of the masks that lie inside b."""
@@ -211,6 +235,8 @@ class Ideal:
         _check_ambient(self.ambient)
         gens = tuple(self.gens)
         for g in gens:
+            if not isinstance(g, Monomial):
+                raise InputError(f"generator {g!r} is not a Monomial")
             if g.ambient != self.ambient:
                 raise InputError(f"generator ambient {g.ambient} != ideal ambient {self.ambient}")
             if g.mask == 0:
@@ -218,17 +244,9 @@ class Ideal:
         by_mask = {g.mask: g for g in gens}
         if len(by_mask) != len(gens):
             raise InputError("duplicate generators; use minimal_generators to canonicalize")
-        masks = sorted(by_mask, key=canon_key)
-        # A generator inside another one has the smaller degree, so only the
-        # generators below the top degree, a prefix in canonical order, are
-        # indexed.  An antichain: the only indexed generator inside each
-        # generator is itself, if it is indexed.
-        top = masks[-1].bit_count() if masks else 0
-        below = MaskIndex(m for m in masks if m.bit_count() < top)
-        if below.every:
-            for i, g in enumerate(masks):
-                if below.inside(g) != (1 << i) & below.every:
-                    raise InputError("generators are not an antichain; use minimal_generators")
+        masks = minimalize_masks(by_mask)
+        if len(masks) != len(by_mask):
+            raise InputError("generators are not an antichain; use minimal_generators")
         object.__setattr__(self, "gens", tuple(by_mask[m] for m in masks))
 
     @classmethod

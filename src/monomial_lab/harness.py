@@ -30,7 +30,6 @@ from .core import (
     InputError,
     Monomial,
     _check_ambient,
-    canon_key,
     squarefree_multiples,
 )
 from .linearity import _gcd_witness_masks, _linear_after, n2_verdict_masks
@@ -534,6 +533,22 @@ class SearchReport:
         return json.dumps(doc, sort_keys=True)
 
 
+def _colex_mask(rank: int, n: int, d: int) -> int:
+    """The degree-d mask on n variables at position `rank` of
+    `degree_monomial_masks(n, d)`: ascending masks of one degree are the
+    d-subsets in colex order, whose k-th largest element is the largest c
+    with comb(c, k) <= the rank left over by the larger ones."""
+    mask = 0
+    c = n
+    for k in range(d, 0, -1):
+        c -= 1
+        while math.comb(c, k) > rank:
+            c -= 1
+        mask |= 1 << c
+        rank -= math.comb(c, k)
+    return mask
+
+
 def open_case_search(
     n: int,
     d: int,
@@ -543,13 +558,15 @@ def open_case_search(
 ) -> SearchReport:
     """Randomized search for high-regularity linearly presented ideals in
     ranges beyond exhaustive reach (preset of interest: n=10, d=4, where no
-    example attaining the bound is known)."""
+    example attaining the bound is known).  Each sample draws positions in
+    `degree_monomial_masks(n, d)` and builds only the drawn monomials, so
+    the C(n, d) monomials are never listed."""
     _check_ambient(n)
     if not 1 <= d <= n:
         raise InputError(f"need 1 <= d <= n, got d={d}, n={n}")
     if samples < 0:
         raise InputError(f"samples must be >= 0, got {samples}")
-    monomials = degree_monomial_masks(n, d)
+    count = math.comb(n, d)
     bound = theorem_bound(n, d)
     rng = random.Random(seed)
     t0 = time.monotonic()
@@ -557,8 +574,8 @@ def open_case_search(
     max_reg = -1
     best: tuple[int, ...] | None = None
     for _ in range(samples):
-        size = rng.randint(1, min(len(monomials), 4 * n))
-        gens = tuple(sorted(rng.sample(monomials, size), key=canon_key))
+        size = rng.randint(1, min(count, 4 * n))
+        gens = tuple(_colex_mask(i, n, d) for i in sorted(rng.sample(range(count), size)))
         ok, _ = n2_verdict_masks(gens, d)
         if not ok:
             continue

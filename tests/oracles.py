@@ -34,6 +34,14 @@ def minimalize(masks):
     return tuple(out)
 
 
+def maximalize(masks):
+    """Inclusion-maximal masks, deduplicated, in (size, mask) order, by
+    pairwise tests."""
+    uniq = set(masks)
+    return tuple(sorted((m for m in uniq if not any(m != o and m & ~o == 0 for o in uniq)),
+                        key=lambda x: (popcount(x), x)))
+
+
 def oracle_localize(gens, n, f):
     mem = [m for m in members(gens, n) if f & ~m == 0]
     I_f = minimalize(mem)
@@ -386,3 +394,38 @@ def spread(masks, n: int, width: int, rng: random.Random):
     `width`, as the benchmark embeds its inputs."""
     pos = sorted(rng.sample(range(width), n))
     return [sum(1 << pos[i] for i in range(n) if g >> i & 1) for g in masks]
+
+
+class CountingMask(int):
+    """An int whose bitwise and arithmetic results stay CountingMask, with
+    every & counted; masks derived from the family are all counted."""
+
+    ands = 0
+
+    def __and__(self, other):
+        CountingMask.ands += 1
+        return CountingMask(int.__and__(self, other))
+
+    __rand__ = __and__
+
+    def __or__(self, other):
+        return CountingMask(int.__or__(self, other))
+
+    __ror__ = __or__
+
+    def __xor__(self, other):
+        return CountingMask(int.__xor__(self, other))
+
+    __rxor__ = __xor__
+
+    def __invert__(self):
+        return CountingMask(int.__invert__(self))
+
+    def __neg__(self):
+        return CountingMask(int.__neg__(self))
+
+    def __sub__(self, other):
+        return CountingMask(int.__sub__(self, other))
+
+    def __rsub__(self, other):
+        return CountingMask(int.__rsub__(self, other))

@@ -10,9 +10,11 @@ import sys
 import pytest
 from oracles import (
     RP2_FACETS,
+    CountingMask,
     faces_from_facets,
     faces_from_nonfaces,
     fraction_rank,
+    maximalize,
     mod_rank,
     oracle_homology,
     oracle_sr_facets,
@@ -74,6 +76,56 @@ class TestSimplicialComplex:
         assert irr.dim == -1
         with pytest.raises(InputError):
             void.dim
+
+    def test_facets_against_pairwise_oracle(self):
+        """Maximal facets of random families with duplicate, nested, empty
+        and full facets on 0..20 vertices; a negative or out-of-range facet
+        anywhere in the list is rejected."""
+        rng = random.Random(37)
+        rejected = 0
+        for trial in range(600):
+            n = rng.randint(0, 20)
+            family = [random_mask(rng, n, rng.randint(0, n)) for _ in range(rng.randint(0, 25))]
+            for _ in range(rng.randint(0, 8) if family else 0):
+                base = rng.choice(family)
+                family.append(rng.choice([base, base & random_mask(rng, n, rng.randint(0, n)),
+                                          (1 << n) - 1, 0]))
+            rng.shuffle(family)
+            if rng.random() < 0.15:
+                family.insert(rng.randint(0, len(family)),
+                              rng.choice([-1, -(1 << n), 1 << n, (1 << n) | 1]))
+                with pytest.raises(InputError):
+                    SimplicialComplex(n, tuple(family))
+                rejected += 1
+                continue
+            assert SimplicialComplex(n, tuple(family)).facets == maximalize(family), (trial, family)
+        assert SimplicialComplex(4).facets == ()
+        assert SimplicialComplex(4, (0, 0)).facets == (0,)
+        assert SimplicialComplex(0, (0,)).facets == (0,)
+        assert rejected > 50
+
+    @pytest.mark.parametrize("ambient,facets", [(3, ("a",)), (3, (1.5,)), (3, (0b11, None)),
+                                                ("3", (0b11,)), (65, ())])
+    def test_rejects_wrongly_typed_input(self, ambient, facets):
+        with pytest.raises(InputError):
+            SimplicialComplex(ambient, facets)
+
+    def test_mask_and_count_stays_below_the_all_pairs_scan(self):
+        """1,300 facets on 22 vertices, with nested and duplicate ones.  The
+        pairwise maximality scan made 1,251,356 mask & operations here; the
+        filter on minimal complements must stay under a twentieth of that
+        (it makes about 25k)."""
+        rng = random.Random(31)
+        n = 22
+        facets = [random_mask(rng, n, rng.randint(9, 12)) for _ in range(1000)]
+        facets += [f & random_mask(rng, n, rng.randint(10, n)) for f in rng.sample(facets, 200)]
+        facets += rng.sample(facets, 100)
+        rng.shuffle(facets)
+        CountingMask.ands = 0
+        got = SimplicialComplex(n, tuple(CountingMask(f) for f in facets)).facets
+        assert CountingMask.ands <= 1_251_356 // 20
+        assert len(got) == 964
+        assert got == maximalize(facets)
 
 
 class TestStanleyReisner:

@@ -12,6 +12,7 @@ from oracles import (
     oracle_truncation,
     random_gens,
     random_mask,
+    spread,
 )
 
 from monomial_lab.core import (
@@ -29,6 +30,7 @@ from monomial_lab.core import (
     lcm,
     localize,
     minimal_generators,
+    minimalize_masks,
     parse_ideal,
     restriction,
     truncation,
@@ -154,9 +156,50 @@ class TestIdealConstruction:
                 want = sum(1 << i for i, g in enumerate(masks) if g & ~b == 0)
                 assert index.inside(b) == want
 
+    def test_minimalize_masks_against_pairwise_oracle(self):
+        """Families with 0, duplicates, nested masks, one degree or several,
+        on up to 16 variables spread over up to 64 bits."""
+        rng = random.Random(29)
+        pure = mixed = 0
+        for trial in range(800):
+            n = rng.randint(1, 16)
+            if rng.random() < 0.3:
+                degree = rng.randint(1, n)
+                family = [random_mask(rng, n, degree) for _ in range(rng.randint(1, 30))]
+            else:
+                family = [random_mask(rng, n, rng.randint(1, n)) for _ in range(rng.randint(1, 30))]
+            for _ in range(rng.randint(0, 10)):
+                base = rng.choice(family)
+                kind = rng.randrange(3)
+                if kind == 0:
+                    family.append(base)
+                elif kind == 1:
+                    family.append(base | random_mask(rng, n, rng.randint(0, n)))
+                else:
+                    family.append(base & random_mask(rng, n, rng.randint(0, n)))
+            if rng.random() < 0.1:
+                family.append(0)
+            if rng.random() < 0.5:
+                family = spread(family, n, rng.randint(n, 64), rng)
+            rng.shuffle(family)
+            got = minimalize_masks(family)
+            assert got == minimalize(family), (trial, family)
+            if len({m.bit_count() for m in family}) == 1:
+                pure += 1
+            else:
+                mixed += 1
+        assert minimalize_masks([]) == ()
+        assert minimalize_masks([0, 0b11, 0]) == (0,)
+        assert pure > 50 and mixed > 400
+
     def test_constructor_rejects_duplicates(self):
         with pytest.raises(InputError):
             Ideal(3, (mono(3, 1, 2), mono(3, 1, 2)))
+
+    @pytest.mark.parametrize("gens", [(3,), (0b11, mono(4, 1)), ("x1",), (None,)])
+    def test_constructor_rejects_non_monomials(self, gens):
+        with pytest.raises(InputError):
+            Ideal(4, gens)
 
     def test_constructor_rejects_unit(self):
         with pytest.raises(InputError):

@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from oracles import oracle_dual, random_gens, random_mask
+from oracles import CountingMask, oracle_dual, random_gens, random_mask
 
 import monomial_lab
 from monomial_lab import complexes, duality, transversals
@@ -82,41 +82,6 @@ class TestTransversals:
                 minimal_transversals(family)
 
 
-class CountingMask(int):
-    """An int whose bitwise and arithmetic results stay CountingMask, with
-    every & counted; masks derived from the family are all counted."""
-
-    ands = 0
-
-    def __and__(self, other):
-        CountingMask.ands += 1
-        return CountingMask(int.__and__(self, other))
-
-    __rand__ = __and__
-
-    def __or__(self, other):
-        return CountingMask(int.__or__(self, other))
-
-    __ror__ = __or__
-
-    def __xor__(self, other):
-        return CountingMask(int.__xor__(self, other))
-
-    __rxor__ = __xor__
-
-    def __invert__(self):
-        return CountingMask(int.__invert__(self))
-
-    def __neg__(self):
-        return CountingMask(int.__neg__(self))
-
-    def __sub__(self, other):
-        return CountingMask(int.__sub__(self, other))
-
-    def __rsub__(self, other):
-        return CountingMask(int.__rsub__(self, other))
-
-
 class TestTransversalWork:
     def test_against_subset_scan_on_wider_families(self):
         """Families of up to 40 sets on up to 14 vertices, with duplicate and
@@ -148,21 +113,24 @@ class TestTransversalWork:
 
 OPTIMIZED_CHECKS = """
 import sys
-from monomial_lab.core import Ideal, InputError
+from monomial_lab.complexes import SimplicialComplex
+from monomial_lab.core import Ideal, InputError, Monomial, minimal_generators
 from monomial_lab.duality import alexander_dual
 from monomial_lab.transversals import minimal_transversals
 
 print("optimize", sys.flags.optimize)
+nested = [Monomial(4, m) for m in (0b0111, 0b1000, 0b0011, 0b0111)]
 cases = {
     "nested": lambda: Ideal.from_masks(4, [0b0011, 0b0111, 0b1000]),
     "duplicate": lambda: Ideal.from_masks(4, [0b0101, 0b0011, 0b0101]),
     "empty-set": lambda: minimal_transversals([0b11, 0, 0b100]),
     "zero-dual": lambda: alexander_dual(Ideal(3)),
+    "facet-outside": lambda: SimplicialComplex(3, (0b111, 0b1000)),
+    "round-trip": lambda: Ideal(4, minimal_generators(nested).gens).gen_masks,
 }
 for label, call in cases.items():
     try:
-        call()
-        print(label, "unchecked")
+        print(label, "returned", call())
     except (InputError, ValueError) as exc:
         print(label, "raised", type(exc).__name__)
 """
@@ -175,12 +143,14 @@ class TestChecksSurviveOptimize:
         proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:5] == [
+        assert proc.stdout.split("\n")[:7] == [
             "optimize 1",
             "nested raised InputError",
             "duplicate raised InputError",
             "empty-set raised ValueError",
             "zero-dual raised InputError",
+            "facet-outside raised InputError",
+            "round-trip returned (8, 3)",
         ]
 
 

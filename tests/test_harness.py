@@ -18,6 +18,7 @@ import monomial_lab
 from monomial_lab.betti import regularity
 from monomial_lab.complexes import GF2, RATIONALS
 from monomial_lab.core import CapacityError, Ideal, InputError, Monomial
+from monomial_lab import harness
 from monomial_lab.harness import (
     CheckpointError,
     degree_monomial_masks,
@@ -542,3 +543,30 @@ class TestOpenCaseSearch:
         if a.best is not None:
             assert is_N2_graph(a.best)[0]
             assert a.max_reg == regularity(a.best)
+
+    @pytest.mark.parametrize("n,d", [(6, 3), (8, 2), (10, 4), (12, 5)])
+    def test_samples_match_the_listing(self, n, d, monkeypatch):
+        """Every sample is the one drawn from the listed monomials with the
+        same seed: same sizes, same monomials, same RNG use."""
+        pool = degree_monomial_masks(n, d)
+        assert [harness._colex_mask(i, n, d) for i in range(len(pool))] == list(pool)
+        seen = []
+        monkeypatch.setattr(harness, "n2_verdict_masks",
+                            lambda gens, d: seen.append(gens) or (False, None))
+        for seed in range(20):
+            seen.clear()
+            open_case_search(n, d, samples=15, seed=seed)
+            rng = random.Random(seed)
+            want = [tuple(sorted(rng.sample(pool, rng.randint(1, min(len(pool), 4 * n)))))
+                    for _ in range(15)]
+            assert seen == want, (n, d, seed)
+
+    def test_monomials_are_not_listed(self, monkeypatch):
+        """C(40, 20) is about 1.4e11 monomials; the search must not list them."""
+        def refuse(n, d):
+            raise AssertionError(f"listed all degree-{d} monomials on {n} variables")
+
+        monkeypatch.setattr(harness, "degree_monomial_masks", refuse)
+        for n, d in ((26, 10), (40, 20)):
+            report = open_case_search(n, d, samples=5, seed=1)
+            assert report.samples == 5 and 0 <= report.n2_count <= 5
