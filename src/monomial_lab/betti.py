@@ -1,5 +1,5 @@
 """Betti tables of squarefree monomial ideals via vertex-subset homology,
-and the derived invariants: regularity and projective dimension.
+and the scans over them: regularity, projective dimension and N_k.
 
 For the quotient S/I and a vertex subset sigma, the fine-graded Betti
 number at homological index i equals dim H~_{|sigma|-i-1} of the complex of
@@ -21,7 +21,8 @@ that bitset in their order, and sigma is saturated when their union is
 sigma.  The relabelling reads one row of a bit-extract table per byte of
 sigma (`complexes._remap`).  The Betti table reads the full homology
 profile of every sigma.  Regularity, projective dimension and the N_k
-criterion maximize over the table (`_scan_max`) and prune the walk on the
+criterion (all three live here, the only code that knows the slot
+rules below) maximize over the table (`_scan_max`) and prune the walk on the
 size of sigma alone, before its restricted generators are listed.  The
 ideal's index-0 Betti numbers sit exactly on the generators, at the rows
 of their degrees, where the scan starts; any other saturated sigma has
@@ -67,12 +68,13 @@ from .core import Ideal, InputError, MaskIndex, canon_key, mask_to_vars
 
 
 def _saturated_sigmas(gen_masks, supp: int, floor=(0,)):
-    """Yield (sigma, restricted generators) for every sigma of at least
-    floor[0] vertices whose vertices are all covered by generators supported
-    inside sigma (sigma = 0 included when floor[0] is 0).  floor[0] is read
-    again for every sigma, so a caller may raise it mid-walk; smaller subsets
-    are rejected on their size alone, before their generators are listed.
-    The restricted generators keep the order of gen_masks."""
+    """Yield (sigma, m, local) for every sigma of at least floor[0] vertices
+    whose vertices are all covered by generators supported inside sigma
+    (sigma = 0 included when floor[0] is 0): m = |sigma|, and local holds
+    the generators inside sigma, in the order of gen_masks, relabelled onto
+    0..m-1 by `_remap`.  floor[0] is read again for every sigma, so a caller
+    may raise it mid-walk; smaller subsets are rejected on their size alone,
+    before their generators are listed."""
     index = MaskIndex(gen_masks)
     sigma = supp
     while True:
@@ -87,7 +89,8 @@ def _saturated_sigmas(gen_masks, supp: int, floor=(0,)):
                 union |= g
                 restricted.append(g)
             if union == sigma:
-                yield sigma, restricted
+                m, local = _remap(sigma, restricted)
+                yield sigma, m, local
         if sigma == 0:
             return
         sigma = (sigma - 1) & supp
@@ -127,8 +130,7 @@ def _scan_max(gens, field: FieldSpec, best: int, value) -> int:
         return best
     # the empty bands come first: the smallest sigma that can beat best
     floor = [sum(b is None for b in band)]
-    for sigma, restricted in _saturated_sigmas(gens, supp, floor):
-        m, local = _remap(sigma, restricted)
+    for _, m, local in _saturated_sigmas(gens, supp, floor):
         lo, hi = band[m]
         h = _boundary_ranks(m, local, p, lo, hi + 1)[2]
         for idx in range(lo, hi + 1):
@@ -206,8 +208,7 @@ def _quotient_fine_entries(I: Ideal, field: FieldSpec):
     """Yield (i, sigma, rank) for every nonzero fine Betti number of S/I.
     The generators of an Ideal are in canonical order, so the relabelled
     ones are too and equal local complexes share one cache entry."""
-    for sigma, restricted in _saturated_sigmas(I.gen_masks, I.supp_mask):
-        m, local = _remap(sigma, restricted)
+    for sigma, m, local in _saturated_sigmas(I.gen_masks, I.supp_mask):
         for idx, h in enumerate(homology_profile(m, local, field)):
             if h:
                 yield m - idx, sigma, h  # H~_{idx-1} sits at quotient index m - idx
@@ -266,3 +267,15 @@ def projective_dimension(I: Ideal, field: FieldSpec = RATIONALS) -> int:
     if I.is_zero:
         raise InputError("projective dimension of S/0 is undefined here")
     return projective_dimension_masks(I.gen_masks, field)
+
+
+def nk_betti_masks(gens: tuple[int, ...], d: int, k: int, field: FieldSpec) -> bool:
+    """Betti criterion on generator bitmasks, all of degree d: no Betti
+    number at ideal index i < k off the linear degree i + d."""
+    # the slot of H~_{idx-1} on sigma has ideal index m - idx - 1 and row
+    # idx + 1 >= d; capping the row at d + 1 ends the scan at the first
+    # confirmed hit
+    def row(m, idx):
+        return min(idx + 1, d + 1) if m - idx <= k else 0
+
+    return _scan_max(gens, field, d, row) == d

@@ -158,7 +158,7 @@ def check_corollary1(I: Ideal, field: FieldSpec = RATIONALS, use_support: bool =
     """
     if I.is_zero:
         raise InputError("zero ideal")
-    ok, c = is_S2(I, field)
+    ok, c = is_S2(I)
     if not ok:
         raise PreconditionError("quotient does not satisfy S2")
     return _report("cohomological", I, c, cohomological_dimension(I, field), use_support)

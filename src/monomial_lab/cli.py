@@ -50,10 +50,6 @@ def _load_ideal(path: str) -> Ideal:
     return parse_ideal(text)
 
 
-def _field(args) -> FieldSpec:
-    return FieldSpec.parse(args.field)
-
-
 def _emit(args, doc: dict, human: str) -> None:
     if args.json:
         print(json.dumps(doc, sort_keys=True))
@@ -63,14 +59,14 @@ def _emit(args, doc: dict, human: str) -> None:
 
 def cmd_reg(args) -> int:
     ideal = _load_ideal(args.file)
-    value = regularity(ideal, _field(args))
-    _emit(args, {"regularity": value, "field": _field(args).label}, str(value))
+    value = regularity(ideal, args.field)
+    _emit(args, {"regularity": value, "field": args.field.label}, str(value))
     return EXIT_OK
 
 
 def cmd_betti(args) -> int:
     ideal = _load_ideal(args.file)
-    table = betti_table(ideal, _field(args), fine=args.fine, quotient=args.quotient)
+    table = betti_table(ideal, args.field, fine=args.fine, quotient=args.quotient)
     if args.json:
         print(table.to_json())
     else:
@@ -91,7 +87,7 @@ def cmd_n2(args) -> int:
 
 def cmd_nk(args) -> int:
     ideal = _load_ideal(args.file)
-    ok = is_Nk_betti(ideal, args.k, _field(args))
+    ok = is_Nk_betti(ideal, args.k, args.field)
     _emit(args, {"k": args.k, "nk": ok}, "true" if ok else "false")
     return EXIT_OK if ok else EXIT_FALSE
 
@@ -109,15 +105,15 @@ def cmd_dual(args) -> int:
 
 def cmd_s2(args) -> int:
     ideal = _load_ideal(args.file)
-    ok, c = is_S2(ideal, _field(args))
+    ok, c = is_S2(ideal)
     _emit(args, {"s2": ok, "height": c}, f"{'true' if ok else 'false'}  height {c}")
     return EXIT_OK if ok else EXIT_FALSE
 
 
 def cmd_cd(args) -> int:
     ideal = _load_ideal(args.file)
-    value = cohomological_dimension(ideal, _field(args))
-    _emit(args, {"cd": value, "field": _field(args).label}, str(value))
+    value = cohomological_dimension(ideal, args.field)
+    _emit(args, {"cd": value, "field": args.field.label}, str(value))
     return EXIT_OK
 
 
@@ -167,7 +163,7 @@ def cmd_sharp(args) -> int:
 
 def cmd_check(args) -> int:
     ideal = _load_ideal(args.file)
-    report = check_theorem1(ideal, _field(args), use_support=args.support)
+    report = check_theorem1(ideal, args.field, use_support=args.support)
     if args.json:
         print(report.to_json())
     else:
@@ -180,7 +176,7 @@ def cmd_check(args) -> int:
 
 def cmd_check_s2(args) -> int:
     ideal = _load_ideal(args.file)
-    report = check_corollary1(ideal, _field(args), use_support=args.support)
+    report = check_corollary1(ideal, args.field, use_support=args.support)
     if args.json:
         print(report.to_json())
     else:
@@ -196,7 +192,7 @@ def cmd_verify(args) -> int:
     summary = harness.verify_range(
         args.n,
         args.d,
-        field=_field(args),
+        field=args.field,
         jobs=args.jobs,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
@@ -218,7 +214,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gcd_sweep(args) -> int:
-    report = harness.gcd_lemma_sweep(args.n, args.d, _field(args))
+    report = harness.gcd_lemma_sweep(args.n, args.d)
     if args.json:
         print(report.to_json())
     else:
@@ -233,7 +229,7 @@ def cmd_gcd_sweep(args) -> int:
 
 def cmd_search(args) -> int:
     report = harness.open_case_search(
-        args.n, args.d, samples=args.samples, seed=args.seed, field=_field(args)
+        args.n, args.d, samples=args.samples, seed=args.seed, field=args.field
     )
     if args.json:
         print(report.to_json())
@@ -413,6 +409,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.field = FieldSpec.parse(args.field)  # checked for every command
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

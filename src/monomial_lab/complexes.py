@@ -64,7 +64,11 @@ class FieldSpec:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
+        if self.p is None:
+            return
+        if not isinstance(self.p, int) or isinstance(self.p, bool):
+            raise InputError(f"field characteristic must be None or an int, got {self.p!r}")
+        if not _is_prime(self.p):
             raise InputError(f"{self.p!r} is not prime")
 
     @property

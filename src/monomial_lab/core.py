@@ -395,13 +395,10 @@ def parse_monomial(token: str, ambient: int) -> Monomial:
     variables = []
     for part in token.split("*"):
         part = part.strip()
-        if not part.startswith("x"):
+        digits = part[1:]
+        if not (part.startswith("x") and digits.isascii() and digits.isdigit()):
             raise InputError(f"bad variable token {part!r} (expected x<k>)")
-        try:
-            idx = int(part[1:])
-        except ValueError:
-            raise InputError(f"bad variable token {part!r}") from None
-        variables.append(idx)
+        variables.append(int(digits))
     if len(set(variables)) != len(variables):
         raise InputError(f"repeated variable in {token!r} (monomials are squarefree)")
     return Monomial.from_vars(ambient, variables)

@@ -52,12 +52,11 @@ def height_profile(I: Ideal) -> DualReport:
     return DualReport(dual, min(degs), max(degs), min(degs) == max(degs))
 
 
-def is_S2(I: Ideal, field: FieldSpec = RATIONALS) -> tuple[bool, int]:
+def is_S2(I: Ideal) -> tuple[bool, int]:
     """Serre S2 test: the dual must be pure of the height degree and
     linearly presented.  The verdict is characteristic-free (the
-    connectivity criterion does not involve the field); the field argument
-    is accepted for interface symmetry with the other invariants."""
-    del field
+    connectivity criterion does not involve the field), so it takes no
+    field."""
     report = height_profile(I)
     if not report.pure:
         return False, report.height

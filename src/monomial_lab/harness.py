@@ -43,9 +43,7 @@ class CheckpointError(InputError):
 
 def degree_monomial_masks(n: int, d: int) -> tuple[int, ...]:
     """All degree-d squarefree monomial bitmasks on n variables, canonical order."""
-    return tuple(
-        sorted(sum(1 << i for i in combo) for combo in itertools.combinations(range(n), d))
-    )
+    return tuple(sorted(squarefree_multiples(0, n, d)))
 
 
 def _capacity_checked(n: int, d: int) -> tuple[int, ...]:
@@ -58,6 +56,13 @@ def _capacity_checked(n: int, d: int) -> tuple[int, ...]:
             f"at most {MAX_SUBSET_SPACE} are supported"
         )
     return degree_monomial_masks(n, d)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise InputError(f"{name} must be >= {least}, got {value}")
 
 
 def _subset_gens(monomials: tuple[int, ...], index: int) -> tuple[int, ...]:
@@ -94,36 +99,37 @@ def _image(mask: int, arr) -> int:
 
 
 def _index_perms(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """For each variable permutation, the induced permutation of monomial
-    indices.  Feasible for n <= 7 only."""
+    """For each variable permutation but the identity, the induced
+    permutation of monomial indices.  Feasible for n <= 7 only."""
     key = (n, d)
     cached = _PERM_CACHE.get(key)
     if cached is not None:
         return cached
     monomials = degree_monomial_masks(n, d)
     index_of = {m: i for i, m in enumerate(monomials)}
-    result = tuple(
-        tuple(index_of[_image(m, p)] for m in monomials)
-        for p in itertools.permutations(range(n))
-    )
+    perms = itertools.permutations(range(n))
+    next(perms)  # the identity comes first
+    result = tuple(tuple(index_of[_image(m, p)] for m in monomials) for p in perms)
     _PERM_CACHE[key] = result
     return result
 
 
 def _orbit_size(index: int, perms) -> int:
-    """The size of the orbit of subset index `index` under the variable
-    permutations `perms` if `index` is the least index in it, else 0.
+    """The size of the orbit of subset index `index` under the identity and
+    the non-identity permutations `perms` if `index` is the least index in
+    it, else 0; with no `perms`, 1.
 
     Stops at the first permutation that maps the index lower.  A least
-    index goes through all of them, and its orbit size is len(perms) over
-    the number of permutations that fix it (orbit-stabilizer)."""
-    fixed = 0
+    index goes through all of them, and its orbit size is the group order
+    len(perms) + 1 over the number of permutations that fix it, the
+    identity included (orbit-stabilizer)."""
+    fixed = 1
     for arr in perms:
         mapped = _image(index, arr)
         if mapped < index:
             return 0
         fixed += mapped == index
-    return len(perms) // fixed
+    return (len(perms) + 1) // fixed
 
 
 # --- exhaustive verification ---------------------------------------------------
@@ -173,19 +179,18 @@ def _verify_chunk(task):
     n, d, fieldp, start, end, bound, symmetry = task
     monomials = degree_monomial_masks(n, d)
     field = FieldSpec(fieldp)
-    indices = range(start, end + 1)
-    if symmetry == "orbits":
-        # each orbit's least index is checked once and counted for its orbit
-        perms = _index_perms(n, d)
-        weighted = [(index, size) for index in indices if (size := _orbit_size(index, perms))]
-    else:
-        weighted = zip(indices, itertools.repeat(1))
+    # each orbit's least index is checked once and counted for its orbit;
+    # under "off" the group is the identity alone
+    perms = _index_perms(n, d) if symmetry == "orbits" else ()
     checked = 0
     n2_count = 0
     max_reg = -1
     extremal: list[int] = []
     violations: list[tuple[int, int]] = []
-    for index, weight in weighted:
+    for index in range(start, end + 1):
+        weight = _orbit_size(index, perms)
+        if not weight:
+            continue
         checked += weight
         gens = _subset_gens(monomials, index)
         ok, _ = n2_verdict_masks(gens, d)
@@ -199,8 +204,7 @@ def _verify_chunk(task):
         elif reg == max_reg:
             extremal.append(index)
         if reg > bound:
-            # weight > 1 only under "orbits": the stream gets the orbit here
-            orbit = sorted({_image(index, arr) for arr in perms}) if weight > 1 else (index,)
+            orbit = sorted({index}.union(_image(index, arr) for arr in perms))
             violations += [(member, reg) for member in orbit]
     return {
         "start": start,
@@ -314,10 +318,8 @@ def verify_range(
         raise InputError(f"symmetry must be off|orbits, got {symmetry!r}")
     if symmetry == "orbits" and n > 7:
         raise InputError("symmetry reduction enumerates n! permutations; n <= 7 only")
-    if jobs < 1:
-        raise InputError(f"jobs must be >= 1, got {jobs}")
-    if chunk_size < 1:
-        raise InputError(f"chunk_size must be >= 1, got {chunk_size}")
+    _check_count("jobs", jobs, 1)
+    _check_count("chunk_size", chunk_size, 1)
     monomials = _capacity_checked(n, d)
     total = (1 << len(monomials)) - 1
     bound = theorem_bound(n, d)
@@ -457,16 +459,15 @@ class GcdSweepReport:
         return json.dumps(doc, sort_keys=True)
 
 
-def gcd_lemma_sweep(n: int, d: int, field: FieldSpec = RATIONALS) -> GcdSweepReport:
+def gcd_lemma_sweep(n: int, d: int) -> GcdSweepReport:
     """Exhaustive witness check: for every pure degree-d ideal I and every
     squarefree f with 2 <= deg f <= d, I not inside (f), and the degree-d
     truncation of I + (f) linearly presented, some generator f1 must have
     deg gcd(f1, f) = deg f - 1 with the truncation of I + (gcd) still
     linearly presented.  Reports any (I, f) without a witness (expected:
-    none).  The verdicts use the connectivity criterion, so `field` does
-    not influence them.
+    none).  The verdicts use the connectivity criterion, which involves no
+    field.
     """
-    del field
     monomials = _capacity_checked(n, d)
     total = (1 << len(monomials)) - 1
     t0 = time.monotonic()
@@ -564,8 +565,7 @@ def open_case_search(
     _check_ambient(n)
     if not 1 <= d <= n:
         raise InputError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if samples < 0:
-        raise InputError(f"samples must be >= 0, got {samples}")
+    _check_count("samples", samples, 0)
     count = math.comb(n, d)
     bound = theorem_bound(n, d)
     rng = random.Random(seed)

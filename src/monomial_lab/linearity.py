@@ -6,7 +6,8 @@ For an ideal generated in degree d, two generators are adjacent when their
 lcm has degree d+1.  The ideal is linearly presented (property N_2) exactly
 when, for every generator pair (u, v), the subgraph induced on the
 generators dividing lcm(u, v) is connected.  The Betti route checks the
-same property (and the higher N_k) directly from vanishing of table rows.
+same property (and the higher N_k) directly from vanishing of table rows;
+its scan, `betti.nk_betti_masks`, lives with the other table scans.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .betti import _scan_max
+from .betti import nk_betti_masks
 from .complexes import RATIONALS, FieldSpec
 from .core import (
     Ideal,
@@ -171,18 +172,6 @@ def is_N2_graph(I: Ideal):
     if ok:
         return True, None
     return False, (I.gens[pair[0]], I.gens[pair[1]])
-
-
-def nk_betti_masks(gens: tuple[int, ...], d: int, k: int, field: FieldSpec) -> bool:
-    """Betti criterion on generator bitmasks, all of degree d: no Betti
-    number at ideal index i < k off the linear degree i + d."""
-    # the slot of H~_{idx-1} on sigma has ideal index m - idx - 1 and row
-    # idx + 1 >= d; capping the row at d + 1 ends the scan at the first
-    # confirmed hit
-    def row(m, idx):
-        return min(idx + 1, d + 1) if m - idx <= k else 0
-
-    return _scan_max(gens, field, d, row) == d
 
 
 def is_Nk_betti(I: Ideal, k: int, field: FieldSpec = RATIONALS) -> bool:

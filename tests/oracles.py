@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 # minimal 6-vertex triangulation of the real projective plane: 10 facets,
 # every edge in exactly two triangles, Euler characteristic 1
@@ -200,6 +200,18 @@ def taylor_counts(gens):
             key = (size - 1, popcount(big))
             out[key] = out.get(key, 0) + 1
     return out
+
+
+def oracle_index_group(n: int, d: int) -> list[tuple[int, ...]]:
+    """Every variable permutation, the identity included, as the
+    permutation it induces on the positions of the degree-d squarefree
+    monomials in ascending mask order."""
+    monomials = sorted(sum(1 << i for i in c) for c in combinations(range(n), d))
+    position = {m: k for k, m in enumerate(monomials)}
+    return [
+        tuple(position[sum(1 << p[i] for i in range(n) if m >> i & 1)] for m in monomials)
+        for p in permutations(range(n))
+    ]
 
 
 def oracle_orbit(index: int, perms) -> set[int]:

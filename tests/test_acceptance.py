@@ -25,7 +25,7 @@ import pytest
 from oracles import random_gens
 
 import monomial_lab
-from monomial_lab.betti import projective_dimension, regularity
+from monomial_lab.betti import nk_betti_masks, projective_dimension, regularity
 from monomial_lab.bounds import f_bound, g_bound, sharp_example, theorem_bound
 from monomial_lab.complexes import (
     GF2,
@@ -43,7 +43,7 @@ from monomial_lab.harness import (
     remark_example,
     verify_range,
 )
-from monomial_lab.linearity import is_N2_graph, is_Nk_betti, n2_verdict_masks, nk_betti_masks
+from monomial_lab.linearity import is_N2_graph, is_Nk_betti, n2_verdict_masks
 
 GF32003 = FieldSpec(32003)
 

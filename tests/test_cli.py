@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
 import monomial_lab
+from monomial_lab import harness
 from monomial_lab.cli import main
 from monomial_lab.core import format_ideal, parse_ideal
 from monomial_lab.harness import remark_example
@@ -212,6 +214,53 @@ class TestHarnessCommands:
         assert stream.read_bytes() == written
 
 
+class TestHumanOutput:
+    """The plain (non-`--json`) report of each command, exact; elapsed
+    times read 0.0s."""
+
+    @pytest.fixture(autouse=True)
+    def frozen_clock(self, monkeypatch):
+        monkeypatch.setattr(harness, "time", types.SimpleNamespace(monotonic=lambda: 0.0))
+
+    def test_sharp(self, capsys):
+        assert run_cli(capsys, "sharp", "--n", "5", "--d", "3") == (0, (
+            "ambient 5\nx1*x2*x3\nx1*x2*x4\nx1*x3*x4\nx2*x3*x4\nx1*x2*x5\nx3*x4*x5\n"
+            "# reg 3 = f(5,3)\n"), "")
+
+    def test_check(self, capsys, remark_file):
+        assert run_cli(capsys, "check", remark_file) == (
+            0, "reg 4  bound max(4, f(8,4)=5) = 5  holds True  tight False\n", "")
+
+    def test_check_s2(self, capsys, tmp_path):
+        p = tmp_path / "vars.ideal"
+        p.write_text("ambient 5\nx1\nx2\n")
+        assert run_cli(capsys, "check-s2", str(p)) == (
+            0, "cd 2  bound max(2, f(5,2)=2) = 2  g 3  holds True  tight True\n", "")
+
+    def test_verify(self, capsys):
+        assert run_cli(capsys, "--field", "p:2", "verify", "--n", "5", "--d", "2",
+                       "--jobs", "1") == (1, (
+            "n=5 d=2 field=GF(2): 1023/1023 checked, 833 linearly presented, max_reg=3 "
+            "(bound 2), violations=12, elapsed 0.0s\n"), "")
+
+    def test_gcd_sweep(self, capsys):
+        assert run_cli(capsys, "gcd-sweep", "--n", "4", "--d", "2") == (0, (
+            "n=4 d=2: 63 ideals, 360 qualifying (I, f) pairs, 360 witnesses, "
+            "0 violations, elapsed 0.0s\n"), "")
+
+    def test_search(self, capsys):
+        assert run_cli(capsys, "search", "--n", "6", "--d", "3", "--samples", "40",
+                       "--seed", "3") == (0, (
+            "n=6 d=3: 40 samples, 30 linearly presented, max_reg=3 (bound 4)\n"
+            "best: x1*x2*x3 x1*x2*x4 x1*x3*x4 x2*x3*x4 x1*x2*x5 x1*x3*x5 x2*x3*x5 "
+            "x1*x4*x5 x2*x4*x5 x3*x4*x5 x1*x2*x6 x1*x3*x6 x2*x3*x6 x1*x4*x6 x2*x4*x6 "
+            "x3*x4*x6 x1*x5*x6 x2*x5*x6 x3*x5*x6 x4*x5*x6\n"), "")
+
+    def test_search_without_samples(self, capsys):
+        assert run_cli(capsys, "search", "--n", "5", "--d", "2", "--samples", "0") == (
+            0, "n=5 d=2: 0 samples, 0 linearly presented, max_reg=-1 (bound 2)\nbest: -\n", "")
+
+
 class TestErrorPaths:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "reg", "/nonexistent/path.ideal")
@@ -220,6 +269,16 @@ class TestErrorPaths:
     def test_bad_field(self, capsys, remark_file):
         code, _, err = run_cli(capsys, "--field", "p:4", "reg", remark_file)
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["n2", "FILE"], ["dual", "FILE"], ["s2", "FILE"],
+                                      ["bound", "--d", "3", "--n", "6"],
+                                      ["sharp", "--n", "5", "--d", "3"]])
+    def test_bad_field_rejected_where_unused(self, capsys, remark_file, argv):
+        argv = [remark_file if a == "FILE" else a for a in argv]
+        assert run_cli(capsys, "--field", "gf4", *argv) == (
+            2, "", "error: bad field spec 'gf4' (use 'q' or 'p:<prime>')\n")
+        code, out, err = run_cli(capsys, "--field", "p:4", *argv)
+        assert code == 2 and not out and err.startswith("error: ")
 
     def test_bad_file_contents(self, capsys, tmp_path):
         p = tmp_path / "bad.ideal"

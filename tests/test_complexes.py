@@ -35,7 +35,14 @@ from monomial_lab.complexes import (
     restrict_complex,
     stanley_reisner,
 )
-from monomial_lab.core import Ideal, InputError, Monomial, canon_key, minimal_generators
+from monomial_lab.core import (
+    CapacityError,
+    Ideal,
+    InputError,
+    Monomial,
+    canon_key,
+    minimal_generators,
+)
 from monomial_lab.exact_rank import rank_bareiss, rank_f2_columns, rank_mod_p
 from monomial_lab.transversals import minimal_transversals
 
@@ -61,6 +68,11 @@ class TestFieldSpec:
     def test_parse_error(self):
         with pytest.raises(InputError):
             FieldSpec.parse("gf4")
+
+    @pytest.mark.parametrize("p", [3.0, 2.0, "3", True, False])
+    def test_characteristic_must_be_an_int(self, p):
+        with pytest.raises(InputError, match="must be None or an int"):
+            FieldSpec(p)
 
 
 class TestSimplicialComplex:
@@ -153,6 +165,11 @@ class TestRestrictComplex:
         void = SimplicialComplex(3)
         assert restrict_complex(void, {1}).is_void
 
+    def test_outside_ambient(self):
+        C = SimplicialComplex.from_vertex_sets(3, [(1, 2, 3)])
+        with pytest.raises(InputError, match="outside ambient"):
+            restrict_complex(C, 0b1001)
+
     def test_matches_face_filter(self):
         rng = random.Random(12)
         for _ in range(40):
@@ -166,6 +183,15 @@ class TestRestrictComplex:
 
 
 class TestHomology:
+    def test_capacity_limit(self):
+        """Above 26 vertices both face-bitmap builders refuse before building
+        anything: from facets (a complex) and from minimal non-faces (a
+        local complex of the Betti scans)."""
+        with pytest.raises(CapacityError, match="27 vertices exceeds"):
+            reduced_homology_dims(SimplicialComplex(27, ((1 << 27) - 1,)))
+        with pytest.raises(CapacityError, match="27 vertices exceeds"):
+            homology_profile(27, (1,), GF2)
+
     def test_circle(self):
         tri = SimplicialComplex.from_vertex_sets(3, [(1, 2), (2, 3), (1, 3)])
         assert reduced_homology_dims(tri, RATIONALS) == {-1: 0, 0: 0, 1: 1}

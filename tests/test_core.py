@@ -441,8 +441,23 @@ class TestTextFormat:
             "ambient 3\nx4\n",
             "ambient 3\nx1*x1\n",  # not squarefree
             "ambient 0\n",
+            "ambient 12\nx1_0\n",  # int() would read x10
+            "ambient 3\nx 1\n",
+            "ambient 3\nx+1\n",
+            "ambient 3\nx-1\n",
+            "ambient 3\nx\u0661\n",  # ARABIC-INDIC DIGIT ONE
+            "ambient 3\nx\uff11\n",  # FULLWIDTH DIGIT ONE
+            "ambient 3\nx\n",
         ],
     )
     def test_parse_errors(self, text):
         with pytest.raises(InputError):
             parse_ideal(text)
+
+    def test_round_trip_seeded(self):
+        """Seeded ideals up to 64 variables, so indices of two digits too."""
+        rng = random.Random(29)
+        for _ in range(200):
+            n = rng.randint(1, 64)
+            I = Ideal.from_masks(n, random_gens(rng, n, rng.randint(0, 6)))
+            assert parse_ideal(format_ideal(I)) == I

@@ -12,7 +12,7 @@ import sys
 from multiprocessing import get_context
 
 import pytest
-from oracles import oracle_canonical_subset_index, oracle_orbit_size
+from oracles import oracle_canonical_subset_index, oracle_index_group, oracle_orbit_size
 
 import monomial_lab
 from monomial_lab.betti import regularity
@@ -151,6 +151,34 @@ class TestVerifyRange:
         path.write_text("{not json")
         with pytest.raises(CheckpointError):
             verify_range(4, 2, checkpoint_path=str(path), resume=True)
+
+    def test_missing_checkpoint_file(self, tmp_path):
+        path = str(tmp_path / "none.json")
+        with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+            verify_range(4, 2, checkpoint_path=path, resume=True)
+
+    @pytest.mark.parametrize("drop", ["cursor", "symmetry"])
+    def test_checkpoint_missing_fields(self, tmp_path, drop):
+        path = tmp_path / "ck.json"
+        verify_range(4, 2, checkpoint_path=str(path))
+        doc = json.loads(path.read_text())
+        del doc[drop]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="missing required fields"):
+            verify_range(4, 2, checkpoint_path=str(path), resume=True)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"jobs": 0}, "jobs must be >= 1, got 0"),
+        ({"chunk_size": 0}, "chunk_size must be >= 1, got 0"),
+        ({"jobs": 1.5}, "jobs must be an int, got 1.5"),
+        ({"jobs": True}, "jobs must be an int, got True"),
+        ({"chunk_size": 2.5}, "chunk_size must be an int, got 2.5"),
+        ({"chunk_size": True}, "chunk_size must be an int, got True"),
+    ])
+    def test_counts_must_be_ints_in_range(self, kwargs, message):
+        with pytest.raises(InputError) as err:
+            verify_range(4, 2, **kwargs)
+        assert str(err.value) == message
 
     def test_mismatched_checkpoint(self, tmp_path):
         path = str(tmp_path / "ck.json")
@@ -329,19 +357,23 @@ class TestVerifyRange:
         hi = 1 << pool.index(0b1100)
         assert _orbit_size(hi, perms) == 0
         assert _orbit_size(1, perms) == 6  # the six edges of K4
-        assert oracle_canonical_subset_index(hi, perms) == 1
+        assert _orbit_size(hi, ()) == 1  # "off": the identity alone
+        assert oracle_canonical_subset_index(hi, oracle_index_group(4, 2)) == 1
 
     @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (5, 3), (4, 3)])
     def test_least_in_orbit_against_orbit_minimum(self, n, d):
         perms = _index_perms(n, d)
+        group = oracle_index_group(n, d)
+        identity = tuple(range(len(group[0])))
+        assert sorted(perms) == sorted(arr for arr in group if arr != identity)
         total = (1 << len(degree_monomial_masks(n, d))) - 1
         sizes = 0
         for index in range(1, total + 1):
-            least = oracle_canonical_subset_index(index, perms) == index
+            least = oracle_canonical_subset_index(index, group) == index
             size = _orbit_size(index, perms)
             assert bool(size) == least, index
             if least:
-                assert size == oracle_orbit_size(index, perms), index
+                assert size == oracle_orbit_size(index, group), index
             sizes += size
         assert sizes == total  # the orbits partition the subset space
 
@@ -362,7 +394,7 @@ class TestVerifyRange:
         assert orbits.max_reg == off.max_reg
         assert orbits.violations == off.violations
         assert len(orbits.violations) == (12 if (n, d) == (5, 2) else 0)
-        perms = _index_perms(n, d)
+        group = oracle_index_group(n, d)
         pool = degree_monomial_masks(n, d)
 
         def index(ideal):
@@ -370,7 +402,7 @@ class TestVerifyRange:
 
         assert orbits.extremal == tuple(
             I for I in off.extremal
-            if oracle_canonical_subset_index(index(I), perms) == index(I)
+            if oracle_canonical_subset_index(index(I), group) == index(I)
         )
 
     @pytest.mark.parametrize("n,d", [(5, 2), (4, 3)])
@@ -560,6 +592,16 @@ class TestOpenCaseSearch:
             want = [tuple(sorted(rng.sample(pool, rng.randint(1, min(len(pool), 4 * n)))))
                     for _ in range(15)]
             assert seen == want, (n, d, seed)
+
+    @pytest.mark.parametrize("samples,message", [
+        (-1, "samples must be >= 0, got -1"),
+        (1.5, "samples must be an int, got 1.5"),
+        (False, "samples must be an int, got False"),
+    ])
+    def test_samples_must_be_a_count(self, samples, message):
+        with pytest.raises(InputError) as err:
+            open_case_search(6, 3, samples=samples)
+        assert str(err.value) == message
 
     def test_monomials_are_not_listed(self, monkeypatch):
         """C(40, 20) is about 1.4e11 monomials; the search must not list them."""
