@@ -6,21 +6,42 @@ The homology engine works on "local" complexes: m vertices labelled by bits
 generators) or by facets.  Faces are enumerated as one big-integer bitmap
 over the 2^m subset space, so closure operations are word-parallel shifts.
 
-Boundary ranks come from sparse column reduction (`exact_rank`), with faces
-ordered by (size, mask).  A request names a band of boundary maps, lo..hi
-(the map on size-s faces is map s): only the faces of sizes lo-1..hi are
-listed, by AND-ing the face bitmap with the mask of the subset indices
-that have lo-1..hi bits set and reading the result once, so the faces
-keep the (size, mask) order.  The full profile is the band of every map;
-the Betti scans ask for the band that can still raise their best value
-(see `betti`).  Over GF(2) and GF(p) the maps of a band are reduced from
-the top of the band down, with clearing: the columns of the boundary map
-on size-s faces that are pivot rows of the map on size-(s+1) faces would
-reduce to zero, so they are never built.  The counts of the listed sizes
-and the ranks reduced so far are cached per complex and field, so a
-later, wider request reduces only the maps it still lacks.  Every rank is
-checked against its matrix shape and every dimension for h >= 0, and
-full profiles against the Euler characteristic, also under -O.
+The engine reduces the relative chain complex C~(D)/C~(st v), not C~(D).
+A vertex star st(v), the faces f with f + v a face, is a cone, so its
+augmented chain complex is acyclic over Z, and the long exact sequence of
+the pair gives H~(D) = H(C~(D)/C~(st v)) over every coefficient ring
+(excision; equally, the acyclic matching of discrete Morse theory that
+pairs f with f + v).  Its basis is the faces f with v not in f and f + v
+not a face, read off the face bitmap with one shift and two ANDs.  The
+star pairs each face containing v with one that does not, so v is the
+vertex in the most faces (one AND and popcount per vertex), which leaves
+the fewest, ties to the lowest; D itself is kept when no vertex is a face
+(m = 0, the void complex, every vertex a non-face).  The boundary of a
+basis face drops the facets that lie in the star; the signs are those of
+D.  Only one star is taken off: a second one is not exact in general,
+since st(u) meets lk(v) in a subcomplex that need not be acyclic.  The
+counts, ranks and dimensions below are those of the relative complex.  The
+Euler check still holds, since the augmented star has Euler characteristic
+0; clearing holds for any based chain complex; and the relative complex is
+a free Z-complex with D's homology, so the GF(2) zero certificate and the
+exact rational confirmation below apply to it unchanged.
+
+Boundary ranks come from sparse column reduction (`exact_rank`), with
+faces ordered by (size, mask).  A request names a band of boundary maps,
+lo..hi (the map on size-s faces is map s): only the faces of sizes
+lo-1..hi are listed, by AND-ing the relative face bitmap with the mask of
+the subset indices that have lo-1..hi bits set and reading the result
+once, so the faces keep the (size, mask) order.  The full profile is the
+band of every map; the Betti scans ask for the band that can still raise
+their best value (see `betti`).  Over GF(2) and GF(p) the maps of a band
+are reduced from the top of the band down, with clearing: the columns of
+the boundary map on size-s faces that are pivot rows of the map on
+size-(s+1) faces would reduce to zero, so they are never built.  The
+counts of the listed sizes and the ranks reduced so far are cached per
+complex and field, so a later, wider request reduces only the maps it
+still lacks.  Every rank is checked against its matrix shape and every
+dimension for h >= 0, and full profiles against the Euler characteristic,
+also under -O.
 
 Rational ranks are certified exact: a dimension that vanishes over GF(2)
 also vanishes over Q (ranks can only drop modulo a prime, so reduced
@@ -42,18 +63,36 @@ from .transversals import minimal_transversals
 MAX_VERTICES = 26  # face bitmaps take 2^m bits
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to every base in _MR_BASES
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin over the prime bases 2..37, exact below
+    _MR_EXACT_BELOW; larger values raise InputError."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if p >= _MR_EXACT_BELOW:
+        raise InputError(f"{p} is too large: primality is decided exactly only "
+                         f"below {_MR_EXACT_BELOW}")
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -83,9 +122,10 @@ class FieldSpec:
         if t.startswith("p:"):
             t = t[2:]
         try:
-            return cls(int(t))
+            p = int(t)
         except ValueError:
             raise InputError(f"bad field spec {text!r} (use 'q' or 'p:<prime>')") from None
+        return cls(p)
 
     def __str__(self):
         return self.label
@@ -338,14 +378,36 @@ def _faces_by_size(m: int, bitmap: int) -> list[list[int]]:
     return groups
 
 
+def _relative_faces(m: int, faces: int) -> int:
+    """Bitmap of the basis of C~(faces)/C~(st v): the faces f with v not in
+    f and f + v not a face.  The star pairs each face f containing v with
+    f - v, so the basis has |faces| - 2 |faces containing v| faces; v is the
+    vertex in the most faces (ties to the lowest), and the whole bitmap
+    stays when no vertex is a face."""
+    total = faces.bit_count()
+    most, cone = 0, None
+    for pat, step in _bit_patterns(m):
+        on = total - (faces & pat).bit_count()  # the faces containing v
+        if on > most:
+            most, cone = on, (pat, step)
+    if cone is None:
+        return faces
+    pat, step = cone
+    # index x of faces >> step holds face x + 2^v
+    return faces & pat & ~(faces >> step)
+
+
 def _band_faces(m: int, nonfaces: tuple[int, ...], lo: int, hi: int) -> list[list[int]]:
-    """The faces of sizes lo..hi grouped by size 0..m; the other groups are
-    empty."""
-    return _faces_by_size(m, _face_bitmap_from_nonfaces(m, nonfaces) & _size_band(m, lo, hi))
+    """The basis faces of the relative complex (`_relative_faces`) of sizes
+    lo..hi grouped by size 0..m; the other groups are empty."""
+    faces = _relative_faces(m, _face_bitmap_from_nonfaces(m, nonfaces))
+    return _faces_by_size(m, faces & _size_band(m, lo, hi))
 
 
 def _boundary_columns_f2(small: list[int], big: list[int]) -> list[int]:
-    """Boundary matrix over GF(2) as column bitmasks (bit = row index)."""
+    """Boundary matrix over GF(2) as column bitmasks (bit = row index).
+    A facet of a face that is not in `small` lies in the star and is
+    dropped."""
     index = {f: i for i, f in enumerate(small)}
     cols = []
     for face in big:
@@ -354,7 +416,9 @@ def _boundary_columns_f2(small: list[int], big: list[int]) -> list[int]:
         while rem:
             low = rem & -rem
             rem ^= low
-            col |= 1 << index[face ^ low]
+            i = index.get(face ^ low)
+            if i is not None:
+                col |= 1 << i
         cols.append(col)
     return cols
 
@@ -364,7 +428,8 @@ def _boundary_rows_signed(small: list[int], big: list[int]) -> list[dict[int, in
     per face of `big` (rows index `small`).
 
     Vertices of each face are taken ascending; removing the t-th smallest
-    contributes sign (-1)^t.
+    contributes sign (-1)^t.  A facet that is not in `small` lies in the
+    star and is dropped; the sign still alternates over it.
     """
     index = {f: i for i, f in enumerate(small)}
     cols = []
@@ -375,7 +440,9 @@ def _boundary_rows_signed(small: list[int], big: list[int]) -> list[dict[int, in
         while rem:
             low = rem & -rem
             rem ^= low
-            col[index[face ^ low]] = sign
+            i = index.get(face ^ low)
+            if i is not None:
+                col[i] = sign
             sign = -sign
         cols.append(col)
     return cols
@@ -388,9 +455,10 @@ def _boundary_rows_signed(small: list[int], big: list[int]) -> list[dict[int, in
 # irrelevant complex -> h[0] = 1.
 #
 # The face data of a complex over GF(p) are cached per (m, non-faces, p) as
-# (counts, ranks, h): counts[s] is the number of size-s faces (s = 0..m),
-# ranks[s] the rank of the boundary map from size-s to size-(s-1) chains
-# (s = 0..m+1) and h[s] = counts[s] - ranks[s] - ranks[s+1].  A request
+# (counts, ranks, h) of the relative complex: counts[s] is the number of
+# size-s basis faces (s = 0..m), ranks[s] the rank of the boundary map from
+# size-s to size-(s-1) chains (s = 0..m+1) and h[s] = counts[s] - ranks[s]
+# - ranks[s+1].  A request
 # names the maps lo..hi it needs; the faces of sizes lo-1..hi are listed
 # and counted, and only the ranks still missing are reduced, so the entry
 # of a banded request is a partial profile: a count, rank or dimension not

@@ -415,10 +415,9 @@ def parse_ideal(text: str) -> Ideal:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "ambient":
                 raise InputError(f"line {lineno}: expected header 'ambient <n>' first")
-            try:
-                ambient = int(parts[1])
-            except ValueError:
-                raise InputError(f"line {lineno}: bad ambient {parts[1]!r}") from None
+            if not (parts[1].isascii() and parts[1].isdigit()):
+                raise InputError(f"line {lineno}: bad ambient {parts[1]!r}")
+            ambient = int(parts[1])
             _check_ambient(ambient)
             continue
         monomials.append(parse_monomial(line, ambient))

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from oracles import (
@@ -68,6 +69,33 @@ class TestFieldSpec:
     def test_parse_error(self):
         with pytest.raises(InputError):
             FieldSpec.parse("gf4")
+
+    def test_primality_matches_trial_division(self):
+        """Below 200,000 the primes are those of a sieve of Eratosthenes."""
+        n = 200_000
+        sieve = bytearray([1]) * n
+        sieve[:2] = b"\0\0"
+        for f in range(2, math.isqrt(n) + 1):
+            if sieve[f]:
+                sieve[f * f::f] = bytes(len(range(f * f, n, f)))
+        assert [complexes._is_prime(p) for p in range(n)] == [bool(b) for b in sieve]
+
+    @pytest.mark.parametrize("p", [3_215_031_751, 3_825_123_056_546_413_051])
+    def test_strong_pseudoprimes_rejected(self, p):
+        with pytest.raises(InputError, match="not prime"):
+            FieldSpec(p)
+
+    def test_large_prime_accepted_quickly(self):
+        start = time.perf_counter()
+        assert FieldSpec.parse(f"p:{2**61 - 1}").p == 2**61 - 1
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("p", [3_317_044_064_679_887_385_961_981, 2**127 - 1])
+    def test_over_the_exact_bound_raises(self, p):
+        with pytest.raises(InputError, match="decided exactly only below"):
+            FieldSpec(p)
+        with pytest.raises(InputError, match="decided exactly only below"):
+            FieldSpec.parse(f"p:{p}")
 
     @pytest.mark.parametrize("p", [3.0, 2.0, "3", True, False])
     def test_characteristic_must_be_an_int(self, p):
@@ -272,8 +300,9 @@ class TestHomology:
 # goes negative and the ones certified zero over GF(2) are not recomputed, so
 # only the Euler characteristic of the full profile sees it.  "negative": a
 # rational rank too large for the face count, in the reg scan.  "banded": a
-# GF(32003) rank above its matrix shape, in the banded reg scan.  "stored": a
-# triangle and a vertex, whose top map is reduced by a banded request and
+# GF(32003) rank above its matrix shape, in the banded reg scan.  "stored":
+# two disjoint filled triangles, whose relative complex (the second triangle,
+# off the star of vertex 0) has its top map reduced by a banded request and
 # stored; then a full profile with every GF(32003) rank full, which fits each
 # matrix shape but not the stored rank above it.
 FORCED_MISMATCH = """
@@ -298,12 +327,12 @@ cases = {
                lambda: regularity(I, FieldSpec(32003))),
     "stored": ("rank_mod_p",
                lambda cols, p: range(min(len(cols), len({r for c in cols for r in c}))),
-               lambda: complexes.homology_profile(4, triangle, FieldSpec(32003))),
+               lambda: complexes.homology_profile(6, triangles, FieldSpec(32003))),
 }
-triangle = (0b1001, 0b1010, 0b1100)
+triangles = tuple(1 << a | 1 << b for b in range(3, 6) for a in range(3))
 for label, (name, fake, call) in cases.items():
     complexes.clear_caches()
-    complexes._boundary_ranks(4, triangle, 32003, 3, 3)
+    complexes._boundary_ranks(6, triangles, 32003, 3, 3)
     orig = getattr(complexes, name)
     setattr(complexes, name, fake)
     try:
@@ -412,6 +441,48 @@ def local_complexes(rng, count):
     return out
 
 
+def edge_case_complexes(rng, count):
+    """(m, minimal non-faces) for the edge cases of the reduction relative
+    to a vertex star: m = 0 (the irrelevant and the void complex), and for
+    m = 1..6 the void complex, every vertex a non-face and the boundary of
+    the simplex; then seeded complexes with non-faces of mixed degrees
+    (some of them vertices), every other one a cone over its top vertex."""
+    out = [(0, ()), (0, (0,))]
+    for m in range(1, 7):
+        out += [(m, (0,)), (m, tuple(1 << v for v in range(m))), (m, ((1 << m) - 1,))]
+    for k in range(count):
+        m = rng.randint(2, 8)
+        free = m - 1 if k % 2 else m
+        nonfaces = random_gens(rng, free, rng.randint(1, free + 2), dmin=1, dmax=min(free, 5))
+        out.append((m, tuple(sorted(nonfaces, key=canon_key))))
+    return out
+
+
+class TestRelativeComplex:
+    def test_edge_cases_against_oracle(self):
+        """homology_profile and reduced_homology_dims equal the oracle's
+        homology of the whole complex over Q, GF(2), GF(3) and GF(32003)."""
+        rng = random.Random(41)
+        cones = 0
+        for m, nonfaces in edge_case_complexes(rng, 60):
+            faces = faces_from_nonfaces(nonfaces, m)
+            cone = m > 0 and 0 not in nonfaces and not any(g >> (m - 1) & 1 for g in nonfaces)
+            cones += cone
+            for p in (None, 2, 3, 32003):
+                complexes.clear_caches()
+                want = oracle_homology(faces, m, p)
+                got = homology_profile(m, nonfaces, FieldSpec(p))
+                assert len(got) == m + 1
+                assert {q: got[q + 1] for q in want} == want, (m, nonfaces, p)
+                assert sum(got) == sum(want.values())
+                if cone:
+                    assert not any(got)
+                complexes.clear_caches()
+                C = SimplicialComplex(m, tuple(faces))
+                assert reduced_homology_dims(C, FieldSpec(p)) == want, (m, nonfaces, p)
+        assert cones >= 25, cones
+
+
 class TestSparseElimination:
     def test_profiles_against_oracle(self):
         rng = random.Random(31)
@@ -433,24 +504,52 @@ class TestSparseElimination:
             assert homology_profile(m, nonfaces, FieldSpec(p)) == (0,) * 7
 
     def test_cleared_ranks_match_uncleared(self):
-        """The ranks of a full reduction, of seeded bands reduced from the
-        top of the band down with clearing, and of a full request that
-        completes a band all equal the ranks of the whole boundary maps."""
+        """The engine reduces the relative complex of one vertex star: its
+        basis is the faces of the complex minus st(v) for the vertex v with
+        {v} a face that leaves the fewest (ties to the lowest v), or every
+        face when no vertex is one.  The ranks of a full reduction, of
+        seeded bands reduced from the top of the band down with clearing,
+        and of a full request that completes a band all equal the ranks of
+        the whole relative boundary maps."""
         rng = random.Random(32)
+        relative = 0
         for m, nonfaces in local_complexes(rng, 45):
-            groups = complexes._faces_by_size(m, complexes._face_bitmap_from_nonfaces(m, nonfaces))
+            faces = set(faces_from_nonfaces(nonfaces, m))
+            stars = {v: {f for f in faces if f | 1 << v in faces}
+                     for v in range(m) if 1 << v in faces}
+            if stars:
+                v = min(stars, key=lambda v: (len(faces - stars[v]), v))
+                basis = faces - stars[v]
+                relative += len(basis) < len(faces)
+            else:
+                basis = faces
+            groups = [sorted(f for f in basis if f.bit_count() == s) for s in range(m + 1)]
+            assert complexes._band_faces(m, nonfaces, 0, m) == groups
+            # the relative boundary: a facet in the star is not a row
+            dense = [None]
+            for s in range(1, m + 1):
+                index = {f: i for i, f in enumerate(groups[s - 1])}
+                rows = [[0] * len(groups[s]) for _ in groups[s - 1]]
+                for j, face in enumerate(groups[s]):
+                    for t, b in enumerate(b for b in range(m) if face >> b & 1):
+                        if face ^ 1 << b in index:
+                            rows[index[face ^ 1 << b]][j] = (-1) ** t
+                cols = complexes._boundary_rows_signed(groups[s - 1], groups[s])
+                assert dense_rows(cols, len(groups[s - 1])) == rows
+                assert complexes._boundary_columns_f2(groups[s - 1], groups[s]) == [
+                    sum(1 << i for i, row in enumerate(rows) if row[j] % 2)
+                    for j in range(len(groups[s]))]
+                dense.append(rows)
             for p in (2, 3, 32003):
                 uncleared = [0] * (m + 2)
                 for s in range(1, m + 1):
-                    cols = complexes._boundary_rows_signed(groups[s - 1], groups[s])
-                    rows = dense_rows(cols, len(groups[s - 1]))
+                    cols = sparse_columns(dense[s])
                     if p == 2:
-                        full = rank_f2_columns(
-                            complexes._boundary_columns_f2(groups[s - 1], groups[s]))
+                        full = rank_f2_columns(bit_columns(dense[s]))
                     else:
                         full = rank_mod_p(cols, p)
                     uncleared[s] = len(full)
-                    assert uncleared[s] == mod_rank(rows, p)
+                    assert uncleared[s] == mod_rank(dense[s], p)
                 complexes.clear_caches()
                 assert complexes._boundary_ranks(m, nonfaces, p, 1, m)[1] == tuple(uncleared)
                 for _ in range(3):
@@ -470,8 +569,9 @@ class TestSparseElimination:
                 full = rank_bareiss(cols)
                 kept = [c for i, c in enumerate(cols) if i not in pivots]
                 assert len(rank_bareiss(kept)) == len(full)
-                assert len(full) == fraction_rank(dense_rows(cols, len(groups[s - 1])))
+                assert len(full) == fraction_rank(dense[s])
                 pivots = full
+        assert relative >= 30, relative
 
     def test_size_bands(self):
         """The band masks mark exactly the subset indices with lo..hi bits

@@ -437,6 +437,9 @@ class TestTextFormat:
         [
             "x1*x2\n",  # missing header
             "ambient two\nx1\n",
+            "ambient 1_0\nx1\n",  # int() would read 10
+            "ambient +4\nx1\n",
+            "ambient \u0664\nx1\n",  # ARABIC-INDIC DIGIT FOUR
             "ambient 3\ny1\n",
             "ambient 3\nx4\n",
             "ambient 3\nx1*x1\n",  # not squarefree
