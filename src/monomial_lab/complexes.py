@@ -63,13 +63,13 @@ from .transversals import minimal_transversals
 MAX_VERTICES = 26  # face bitmaps take 2^m bits
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to every base in _MR_BASES
 _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin over the prime bases 2..37, exact below
+    """Deterministic Miller-Rabin over the prime bases 2..41, exact below
     _MR_EXACT_BELOW; larger values raise InputError."""
     if p < 2:
         return False
@@ -122,10 +122,9 @@ class FieldSpec:
         if t.startswith("p:"):
             t = t[2:]
         try:
-            p = int(t)
+            return cls(int(t))
         except ValueError:
             raise InputError(f"bad field spec {text!r} (use 'q' or 'p:<prime>')") from None
-        return cls(p)
 
     def __str__(self):
         return self.label
