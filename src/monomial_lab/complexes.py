@@ -121,10 +121,12 @@ class FieldSpec:
             return cls(None)
         if t.startswith("p:"):
             t = t[2:]
-        try:
-            return cls(int(t))
-        except ValueError:
-            raise InputError(f"bad field spec {text!r} (use 'q' or 'p:<prime>')") from None
+        if t.isascii() and t.isdigit():  # no sign, underscore, space or non-ASCII digit
+            try:
+                return cls(int(t))
+            except ValueError:
+                pass
+        raise InputError(f"bad field spec {text!r} (use 'q' or 'p:<prime>')")
 
     def __str__(self):
         return self.label
@@ -301,15 +303,14 @@ def _bit_patterns(m: int) -> list[tuple[int, int]]:
     return pats
 
 
-def _face_bitmap_from_nonfaces(m: int, nonfaces) -> int:
-    """Bitmap of faces (subset indices) given the minimal non-faces."""
-    if m > MAX_VERTICES:
-        raise CapacityError(f"{m} vertices exceeds homology engine limit {MAX_VERTICES}")
+def _face_bitmap_from_nonfaces(m: int, nonfaces, patterns) -> int:
+    """Bitmap of faces (subset indices) given the minimal non-faces and
+    `_bit_patterns(m)`."""
     total = 1 << m
     nf = 0
     for g in nonfaces:
         nf |= 1 << g
-    for pat, step in _bit_patterns(m):
+    for pat, step in patterns:
         nf |= (nf & pat) << step
     return ~nf & ((1 << total) - 1)
 
@@ -377,15 +378,15 @@ def _faces_by_size(m: int, bitmap: int) -> list[list[int]]:
     return groups
 
 
-def _relative_faces(m: int, faces: int) -> int:
+def _relative_faces(faces: int, patterns) -> int:
     """Bitmap of the basis of C~(faces)/C~(st v): the faces f with v not in
     f and f + v not a face.  The star pairs each face f containing v with
     f - v, so the basis has |faces| - 2 |faces containing v| faces; v is the
     vertex in the most faces (ties to the lowest), and the whole bitmap
-    stays when no vertex is a face."""
+    stays when no vertex is a face.  `patterns` is `_bit_patterns(m)`."""
     total = faces.bit_count()
     most, cone = 0, None
-    for pat, step in _bit_patterns(m):
+    for pat, step in patterns:
         on = total - (faces & pat).bit_count()  # the faces containing v
         if on > most:
             most, cone = on, (pat, step)
@@ -399,7 +400,10 @@ def _relative_faces(m: int, faces: int) -> int:
 def _band_faces(m: int, nonfaces: tuple[int, ...], lo: int, hi: int) -> list[list[int]]:
     """The basis faces of the relative complex (`_relative_faces`) of sizes
     lo..hi grouped by size 0..m; the other groups are empty."""
-    faces = _relative_faces(m, _face_bitmap_from_nonfaces(m, nonfaces))
+    if m > MAX_VERTICES:
+        raise CapacityError(f"{m} vertices exceeds homology engine limit {MAX_VERTICES}")
+    patterns = _bit_patterns(m)  # built once: not cached above _CACHED_MASK_VERTICES
+    faces = _relative_faces(_face_bitmap_from_nonfaces(m, nonfaces, patterns), patterns)
     return _faces_by_size(m, faces & _size_band(m, lo, hi))
 
 

@@ -94,11 +94,6 @@ class Monomial:
         _check_ambient(ambient)
         return cls(ambient, _vars_to_mask(ambient, variables))
 
-    @classmethod
-    def from_vars(cls, ambient: int, variables) -> "Monomial":
-        _check_ambient(ambient)
-        return cls(ambient, _vars_to_mask(ambient, variables))
-
     @property
     def degree(self) -> int:
         return self.mask.bit_count()
@@ -401,7 +396,7 @@ def parse_monomial(token: str, ambient: int) -> Monomial:
         variables.append(int(digits))
     if len(set(variables)) != len(variables):
         raise InputError(f"repeated variable in {token!r} (monomials are squarefree)")
-    return Monomial.from_vars(ambient, variables)
+    return Monomial.of(ambient, *variables)
 
 
 def parse_ideal(text: str) -> Ideal:

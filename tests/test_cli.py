@@ -1,8 +1,10 @@
 """Command-line surface: exit-code contract, golden table output, JSON
 schemas, and the file format."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -11,7 +13,7 @@ import pytest
 
 import monomial_lab
 from monomial_lab import harness
-from monomial_lab.cli import main
+from monomial_lab.cli import build_parser, main
 from monomial_lab.core import format_ideal, parse_ideal
 from monomial_lab.harness import remark_example
 
@@ -24,6 +26,24 @@ x1*x2*x5*x6
 """
 
 DISJOINT_TEXT = "ambient 4\nx1*x2\nx3*x4\n"
+
+PAPER_SUITE = [
+    "f(4,5) = 0",
+    "f(10,5) = 7",
+    "g(10,5) = 8",
+    "g(11,5) = 9",
+    "d=5 table row f, n=5..15",
+    "d=5 table row g, n=5..15",
+    "remark ideal: reg = 4",
+    "remark ideal: linear resolution (N_k for all k)",
+    "remark truncation with g: graph criterion fails",
+    "remark truncation with g: Betti criterion fails",
+    "remark ideal: reg 4 <= max(4, f(8,4)=5), not tight",
+    "remark gcd witness has degree deg(f) - 1 = 3",
+    "sharp example n=6, d=3: linearly presented with reg 4 = f(6,3)",
+    "dual of remark ideal: cd = 4",
+    "d+1 variables, d=3: every pure ideal has reg 3",
+]
 
 
 @pytest.fixture
@@ -38,6 +58,20 @@ def disjoint_file(tmp_path):
     p = tmp_path / "disjoint.ideal"
     p.write_text(DISJOINT_TEXT)
     return str(p)
+
+
+@pytest.fixture
+def ideal_files(tmp_path):
+    """Ideal files by the placeholder that parametrized argv lists use."""
+    texts = {"REMARK": REMARK_TEXT, "DISJOINT": DISJOINT_TEXT,
+             "NOT_S2": "ambient 4\nx1*x3\nx1*x4\nx2*x3\nx2*x4\n",
+             "VARS": "ambient 4\nx1\nx2\nx3\n"}
+    paths = {}
+    for name, text in texts.items():
+        p = tmp_path / f"{name.lower()}.ideal"
+        p.write_text(text)
+        paths[name] = str(p)
+    return paths
 
 
 def run_cli(capsys, *argv):
@@ -260,6 +294,96 @@ class TestHumanOutput:
         assert run_cli(capsys, "search", "--n", "5", "--d", "2", "--samples", "0") == (
             0, "n=5 d=2: 0 samples, 0 linearly presented, max_reg=-1 (bound 2)\nbest: -\n", "")
 
+    @pytest.mark.parametrize("argv, code, out", [
+        (["reg", "REMARK"], 0, "4\n"),
+        (["--field", "p:3", "reg", "REMARK"], 0, "4\n"),
+        (["cd", "REMARK"], 0, "2\n"),
+        (["n2", "REMARK"], 0, "true\n"),
+        (["n2", "DISJOINT"], 1, "false  witness: (x1*x2, x3*x4)\n"),
+        (["nk", "REMARK", "--k", "3"], 0, "true\n"),
+        (["nk", "DISJOINT", "--k", "2"], 1, "false\n"),
+        (["s2", "REMARK"], 0, "true  height 2\n"),
+        (["s2", "NOT_S2"], 1, "false  height 2\n"),
+        (["dual", "DISJOINT"], 0,
+         "ambient 4\nx1*x3\nx2*x3\nx1*x4\nx2*x4\n# height 2  bigheight 2  pure True\n"),
+        (["betti", "DISJOINT"], 0, "  j-i  0  1\n-----------\n    2  2  .\n    3  .  1\n"),
+        (["betti", "DISJOINT", "--quotient"], 0,
+         "  j-i  0  1  2\n--------------\n    0  1  .  .\n    1  .  2  .\n    2  .  .  1\n"),
+        (["bound", "--d", "3", "--n", "6"], 0, "f=4  g=4  bound=max(d,f)=4\n"),
+        (["bound", "--d", "3", "--table", "--n-max", "6"], 0,
+         "n         3  4  5  6\nf(n,3)    3  3  3  4\ng(n,3)    3  3  3  4\n"),
+        (["check-s2", "VARS", "--support"], 0,
+         "cd 3  bound max(3, f(3,3)=3) = 3  g 3  holds True  tight True\n"),
+        (["paper-suite"], 0,
+         "".join(f"[PASS] {name}\n" for name in PAPER_SUITE) + "15/15 passed\n"),
+    ])
+    def test_plain_report(self, capsys, ideal_files, argv, code, out):
+        argv = [ideal_files.get(a, a) for a in argv]
+        assert run_cli(capsys, *argv) == (code, out, "")
+
+    @pytest.mark.parametrize("argv, code, out", [
+        (["reg", "REMARK"], 0, {"field": "Q", "regularity": 4}),
+        (["--field", "p:3", "reg", "REMARK"], 0, {"field": "GF(3)", "regularity": 4}),
+        (["cd", "REMARK"], 0, {"cd": 2, "field": "Q"}),
+        (["--field", "p:3", "cd", "VARS"], 0, {"cd": 3, "field": "GF(3)"}),
+        (["n2", "REMARK"], 0, {"n2": True}),
+        (["n2", "DISJOINT"], 1, {"n2": False, "witness": {"u": "x1*x2", "v": "x3*x4"}}),
+        (["nk", "REMARK", "--k", "3"], 0, {"k": 3, "nk": True}),
+        (["nk", "DISJOINT", "--k", "2"], 1, {"k": 2, "nk": False}),
+        (["s2", "REMARK"], 0, {"height": 2, "s2": True}),
+        (["s2", "NOT_S2"], 1, {"height": 2, "s2": False}),
+        (["dual", "DISJOINT"], 0, {"bigheight": 2, "dual": ["x1*x3", "x2*x3", "x1*x4", "x2*x4"],
+                                   "height": 2, "pure": True}),
+        (["betti", "DISJOINT"], 0, {"entries": [{"i": 0, "j": 2, "rank": 2},
+                                                {"i": 1, "j": 4, "rank": 1}],
+                                    "field": "Q", "subject": "ideal"}),
+        (["betti", "DISJOINT", "--quotient", "--fine"], 0, {
+            "entries": [{"i": 0, "j": 0, "rank": 1}, {"i": 1, "j": 2, "rank": 2},
+                        {"i": 2, "j": 4, "rank": 1}],
+            "field": "Q",
+            "fine": [{"i": 0, "rank": 1, "sigma": []}, {"i": 1, "rank": 1, "sigma": [1, 2]},
+                     {"i": 1, "rank": 1, "sigma": [3, 4]},
+                     {"i": 2, "rank": 1, "sigma": [1, 2, 3, 4]}],
+            "subject": "quotient"}),
+        (["bound", "--d", "3", "--n", "6"], 0, {"bound": 4, "d": 3, "f": 4, "g": 4, "n": 6}),
+        (["bound", "--d", "3", "--table", "--n-max", "6"], 0,
+         {"d": 3, "f": [3, 3, 3, 4], "g": [3, 3, 3, 4], "n": [3, 4, 5, 6]}),
+        (["sharp", "--n", "5", "--d", "3"], 0, {
+            "d": 3, "gens": ["x1*x2*x3", "x1*x2*x4", "x1*x3*x4", "x2*x3*x4", "x1*x2*x5",
+                             "x3*x4*x5"], "n": 5, "reg": 3}),
+        (["check", "REMARK"], 0, {
+            "bound": 5, "d": 4, "f_support": 5, "f_value": 5, "faltings_value": 6,
+            "g_value": 6, "kind": "regularity", "n": 8, "n_ambient": 8, "n_support": 8,
+            "reg": 4, "theorem_holds": True, "tight": False}),
+        (["check-s2", "VARS"], 0, {
+            "bound": 3, "d": 3, "f_support": 3, "f_value": 3, "faltings_value": 4,
+            "g_value": 3, "kind": "cohomological", "n": 4, "n_ambient": 4, "n_support": 3,
+            "reg": 3, "theorem_holds": True, "tight": True}),
+        (["check-s2", "VARS", "--support"], 0, {
+            "bound": 3, "d": 3, "f_support": 3, "f_value": 3, "faltings_value": 4,
+            "g_value": 3, "kind": "cohomological", "n": 3, "n_ambient": 4, "n_support": 3,
+            "reg": 3, "theorem_holds": True, "tight": True}),
+        (["verify", "--n", "3", "--d", "2"], 0, {
+            "bound": 2, "checked": 7, "cursor": 8, "d": 2,
+            "extremal": [["x1*x2"], ["x1*x3"], ["x1*x2", "x1*x3"], ["x2*x3"],
+                         ["x1*x2", "x2*x3"], ["x1*x3", "x2*x3"], ["x1*x2", "x1*x3", "x2*x3"]],
+            "field": "Q", "max_reg": 2, "n": 3, "n2_count": 7, "total_ideals": 7,
+            "violations": []}),
+        (["gcd-sweep", "--n", "3", "--d", "2"], 0, {
+            "d": 2, "ideals": 7, "n": 3, "pairs_checked": 18, "violations": [],
+            "witnesses_found": 18}),
+        (["search", "--n", "5", "--d", "2", "--samples", "3", "--seed", "1"], 0, {
+            "best": ["x2*x5", "x4*x5"], "bound": 2, "d": 2, "max_reg": 2, "n": 5,
+            "n2_count": 2, "samples": 3, "seed": 1, "tight": True}),
+        (["paper-suite"], 0, {"pass": True,
+                              "results": [{"name": name, "pass": True} for name in PAPER_SUITE]}),
+    ])
+    def test_json_report(self, capsys, ideal_files, argv, code, out):
+        """One line of sorted-key JSON, the same bytes as `json.dumps`."""
+        argv = [ideal_files.get(a, a) for a in argv]
+        assert run_cli(capsys, "--json", *argv) == (
+            code, json.dumps(out, sort_keys=True) + "\n", "")
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys):
@@ -275,8 +399,10 @@ class TestErrorPaths:
                                       ["sharp", "--n", "5", "--d", "3"]])
     def test_bad_field_rejected_where_unused(self, capsys, remark_file, argv):
         argv = [remark_file if a == "FILE" else a for a in argv]
-        assert run_cli(capsys, "--field", "gf4", *argv) == (
-            2, "", "error: bad field spec 'gf4' (use 'q' or 'p:<prime>')\n")
+        # the characteristic is ASCII digits only, as in the `ambient` header
+        for spec in ("gf4", "p:32_003", "p:+7", "p:\u0667", "p: 7"):
+            assert run_cli(capsys, "--field", spec, *argv) == (
+                2, "", f"error: bad field spec {spec!r} (use 'q' or 'p:<prime>')\n")
         code, out, err = run_cli(capsys, "--field", "p:4", *argv)
         assert code == 2 and not out and err.startswith("error: ")
 
@@ -308,6 +434,29 @@ class TestPaperSuite:
         code, out, _ = run_cli(capsys, "paper-suite")
         assert code == 0
         assert "[PASS]" in out and "[FAIL]" not in out
+
+
+class TestReadme:
+    def test_usage_block_lists_every_command_and_option(self):
+        """Each subcommand has a `monomial-lab NAME` line (with its indented
+        continuation lines) in README's "Command line" block, and those
+        lines name every option of that subcommand."""
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            section = fh.read().split("## Command line", 1)[1]
+        block = section.split("```\n", 2)[1]
+        usage: dict[str, set[str]] = {}
+        name = None
+        for line in block.splitlines():
+            if line.startswith("monomial-lab "):
+                name = line.split()[1]
+            usage.setdefault(name, set()).update(re.findall(r"--[\w-]+", line.split("#")[0]))
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for command, parser in subparsers.choices.items():
+            assert command in usage, command
+            options = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+            assert options <= usage[command], (command, options - usage[command])
 
 
 class TestEntryPoint:

@@ -62,7 +62,8 @@ class TestFieldSpec:
         assert RATIONALS.label == "Q"
 
     @pytest.mark.parametrize("text,p", [("q", None), ("Q", None), ("rationals", None),
-                                        ("p:2", 2), ("p:32003", 32003), ("7", 7)])
+                                        ("p:2", 2), ("p:32003", 32003), ("7", 7),
+                                        ("qq", None), ("0", None), (" P:7 ", 7)])
     def test_parse(self, text, p):
         assert FieldSpec.parse(text).p == p
 
@@ -597,6 +598,17 @@ class TestSparseElimination:
         m = complexes._CACHED_MASK_VERTICES + 1
         assert len(complexes._bit_patterns(m)) == m
         assert complexes._PATTERNS and max(complexes._PATTERNS) < m
+
+    def test_band_faces_builds_uncached_patterns_once(self, monkeypatch):
+        """Above the cache limit each `_band_faces` call builds the vertex-bit
+        patterns once and shares them between the face bitmap and the
+        relative complex."""
+        m = complexes._CACHED_MASK_VERTICES + 1
+        calls = []
+        build = complexes._bit_patterns
+        monkeypatch.setattr(complexes, "_bit_patterns", lambda k: calls.append(k) or build(k))
+        assert len(complexes._band_faces(m, (0b11, 0b1100, 1 << (m - 1) | 1), 1, 2)) == m + 1
+        assert calls == [m]
 
     def test_kernels_on_dependent_columns(self):
         rng = random.Random(33)
