@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import partial
 
@@ -272,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cohomological-dimension report for an S2 ideal", file=True, support=True)
 
     p = add("verify", cmd_verify, "exhaustive bound verification", n_d=True)
-    # argparse converts a string default only when `verify` runs without --jobs
-    p.add_argument("--jobs", type=int, default=os.environ.get("MONOMIAL_LAB_JOBS", "1"))
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--checkpoint")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--chunk-size", type=int, default=4096, dest="chunk_size")

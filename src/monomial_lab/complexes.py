@@ -53,10 +53,11 @@ column by its content and so keeps the entries small.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .core import (CapacityError, InputError, InternalCheckError, Ideal, canon_key,
-                   mask_to_vars, minimalize_masks, _vars_to_mask)
+                   mask_to_vars, minimalize_masks, _is_int, _vars_to_mask)
 from .exact_rank import rank_bareiss, rank_f2_columns, rank_mod_p
 from .transversals import minimal_transversals
 
@@ -105,7 +106,7 @@ class FieldSpec:
     def __post_init__(self):
         if self.p is None:
             return
-        if not isinstance(self.p, int) or isinstance(self.p, bool):
+        if not _is_int(self.p):
             raise InputError(f"field characteristic must be None or an int, got {self.p!r}")
         if not _is_prime(self.p):
             raise InputError(f"{self.p!r} is not prime")
@@ -151,12 +152,12 @@ class SimplicialComplex:
     facets: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.ambient, int) or not 0 <= self.ambient <= 64:
+        if not _is_int(self.ambient) or not 0 <= self.ambient <= 64:
             raise InputError(f"bad ambient {self.ambient!r}")
         facets = tuple(self.facets)
         full = (1 << self.ambient) - 1
         for f in facets:
-            if not isinstance(f, int) or f < 0 or f & ~full:
+            if not _is_int(f) or f < 0 or f & ~full:
                 raise InputError(f"facet {f!r} outside ambient vertex range")
         maximal = sorted((full ^ c for c in minimalize_masks(full ^ f for f in facets)),
                          key=canon_key)
@@ -181,10 +182,12 @@ class SimplicialComplex:
         return tuple(mask_to_vars(f) for f in self.facets)
 
 
-# The last Alexander dual built, keyed by (ambient, generator masks).  One
-# query asks for the dual of the same ideal from several places (height,
-# S2, cd, the bound reports), so one entry serves it; see `clear_caches`.
-_DUAL: dict[tuple[int, tuple[int, ...]], Ideal] = {}
+# One query asks for the dual of the same ideal from several places
+# (height, S2, cd, the bound reports), so one entry serves it; see
+# `clear_caches`.
+@functools.lru_cache(maxsize=1)
+def _dual_of(ambient: int, masks: tuple[int, ...]) -> Ideal:
+    return Ideal.from_masks(ambient, minimal_transversals(masks))
 
 
 def alexander_dual(I: Ideal) -> Ideal:
@@ -195,13 +198,7 @@ def alexander_dual(I: Ideal) -> Ideal:
     """
     if I.is_zero:
         raise InputError("the zero ideal has no Alexander dual here")
-    key = (I.ambient, I.gen_masks)
-    dual = _DUAL.get(key)
-    if dual is None:
-        dual = Ideal.from_masks(I.ambient, minimal_transversals(key[1]))
-        _DUAL.clear()
-        _DUAL[key] = dual
-    return dual
+    return _dual_of(I.ambient, I.gen_masks)
 
 
 def stanley_reisner(I: Ideal) -> SimplicialComplex:
@@ -227,25 +224,22 @@ def restrict_complex(C: SimplicialComplex, sigma) -> SimplicialComplex:
     return SimplicialComplex(C.ambient, tuple(f & smask for f in C.facets))
 
 
-_EXTRACT: list[bytes | None] = [None] * 256
 # translate tables: _SET_BIT[k] maps each byte v to v | 2^k
 _SET_BIT = [bytes([v | 1 << k for v in range(256)]) for k in range(8)]
 
 
+@functools.cache
 def _extract_row(s: int) -> bytes:
     """Row s of the bit-extract table, built on first use: entry x holds
     the bits of x & s packed, in order, into bits 0..|s|-1."""
-    row = _EXTRACT[s]
-    if row is None:
-        row = b"\0"  # the entries for x < 2^b after b bits
-        k = 0
-        for b in range(8):
-            if s >> b & 1:
-                row += row.translate(_SET_BIT[k])
-                k += 1
-            else:
-                row += row
-        _EXTRACT[s] = row
+    row = b"\0"  # the entries for x < 2^b after b bits
+    k = 0
+    for b in range(8):
+        if s >> b & 1:
+            row += row.translate(_SET_BIT[k])
+            k += 1
+        else:
+            row += row
     return row
 
 
@@ -579,16 +573,15 @@ def homology_profile(m: int, nonfaces: tuple[int, ...], field: FieldSpec) -> tup
 
 
 def clear_caches() -> None:
-    """Drop memoized homology data and the Alexander dual memo `_DUAL`
-    (mainly for long-running processes).  `_DUAL` holds one entry at most,
-    the last dual built.  The size masks, bit patterns and bit-extract rows
-    stay: they depend on m or on one byte alone.  The masks and patterns
-    are cached for m <= _CACHED_MASK_VERTICES only, at most about 240 KiB
-    each, and the rows take at most 64 KiB."""
+    """Drop memoized homology data and the last Alexander dual built
+    (mainly for long-running processes).  The size masks, bit patterns and
+    bit-extract rows stay: they depend on m or on one byte alone.  The
+    masks and patterns are cached for m <= _CACHED_MASK_VERTICES only, at
+    most about 240 KiB each, and the rows take at most 64 KiB."""
     _F2_DATA.clear()
     _PROFILES.clear()
     _QRANKS.clear()
-    _DUAL.clear()
+    _dual_of.cache_clear()
 
 
 def reduced_homology_dims(C: SimplicialComplex, field: FieldSpec = RATIONALS) -> dict[int, int]:
@@ -610,8 +603,4 @@ def reduced_homology_dims(C: SimplicialComplex, field: FieldSpec = RATIONALS) ->
         above |= (nonfaces & pat) << step
     minimal = _faces_by_size(m, nonfaces & ~above)  # canonical (size, mask) order
     prof = homology_profile(m, tuple(g for group in minimal for g in group), field)
-    out = {}
-    top = C.dim
-    for q in range(-1, top + 1):
-        out[q] = prof[q + 1] if q + 1 < len(prof) else 0
-    return out
+    return {q: prof[q + 1] for q in range(-1, C.dim + 1)}

@@ -50,10 +50,15 @@ class _UnitIdealType:
 UNIT_IDEAL = _UnitIdealType()
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: the int test of every input check."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _vars_to_mask(ambient: int, variables) -> int:
     mask = 0
     for v in variables:
-        if not isinstance(v, int) or not 1 <= v <= ambient:
+        if not _is_int(v) or not 1 <= v <= ambient:
             raise InputError(f"variable index {v!r} outside 1..{ambient}")
         mask |= 1 << (v - 1)
     return mask
@@ -70,7 +75,7 @@ def mask_to_vars(mask: int) -> tuple[int, ...]:
 
 
 def _check_ambient(ambient: int) -> None:
-    if not isinstance(ambient, int) or ambient < 1:
+    if not _is_int(ambient) or ambient < 1:
         raise InputError(f"ambient must be a positive integer, got {ambient!r}")
     if ambient > MAX_AMBIENT:
         raise CapacityError(f"ambient {ambient} exceeds supported maximum {MAX_AMBIENT}")
@@ -85,7 +90,7 @@ class Monomial:
 
     def __post_init__(self):
         _check_ambient(self.ambient)
-        if not isinstance(self.mask, int) or self.mask < 0 or self.mask >> self.ambient:
+        if not _is_int(self.mask) or self.mask < 0 or self.mask >> self.ambient:
             raise InputError(f"mask {self.mask!r} outside ambient {self.ambient}")
 
     @classmethod
@@ -340,7 +345,7 @@ def localize(I: Ideal, f: Monomial):
 
 def truncation(I: Ideal, d: int) -> Ideal:
     """Ideal generated by all squarefree degree-d monomials lying in I."""
-    if not isinstance(d, int) or d < 1:
+    if not _is_int(d) or d < 1:
         raise InputError(f"truncation degree must be a positive integer, got {d!r}")
     if d > I.ambient:
         raise InputError(f"truncation degree {d} exceeds ambient {I.ambient}")
@@ -348,7 +353,7 @@ def truncation(I: Ideal, d: int) -> Ideal:
     for g in I.gens:
         if g.degree <= d:
             found.update(squarefree_multiples(g.mask, I.ambient, d))
-    return Ideal.from_masks(I.ambient, sorted(found, key=canon_key))
+    return Ideal.from_masks(I.ambient, found)
 
 
 def squarefree_multiples(mask: int, n: int, d: int) -> tuple[int, ...]:

@@ -9,10 +9,10 @@ projective dimension of the quotient on every call.
 
 The dual is computed once per query: `alexander_dual` lives in
 `complexes`, beside `stanley_reisner`, which reads its facets off the
-same dual, and keeps the last dual built in the one-entry memo
-`complexes._DUAL`, emptied by `complexes.clear_caches`.  So `is_S2`,
-`cohomological_dimension` and the bound reports, which each ask for the
-height profile or the dual of the same ideal, share one dual.
+same dual, and keeps the last dual built, which `complexes.clear_caches`
+drops.  So `is_S2`, `cohomological_dimension` and the bound reports,
+which each ask for the height profile or the dual of the same ideal,
+share one dual.
 """
 
 from __future__ import annotations

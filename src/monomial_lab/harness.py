@@ -11,6 +11,7 @@ Long runs persist a resumable JSON checkpoint.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -30,6 +31,7 @@ from .core import (
     InputError,
     Monomial,
     _check_ambient,
+    _is_int,
     squarefree_multiples,
 )
 from .linearity import _gcd_witness_masks, _linear_after, n2_verdict_masks
@@ -46,9 +48,15 @@ def degree_monomial_masks(n: int, d: int) -> tuple[int, ...]:
     return tuple(sorted(squarefree_multiples(0, n, d)))
 
 
-def _capacity_checked(n: int, d: int) -> tuple[int, ...]:
+def _check_n_d(n: int, d: int) -> None:
+    if not (_is_int(n) and _is_int(d)):
+        raise InputError(f"n and d must be ints, got n={n!r}, d={d!r}")
     if not 1 <= d <= n:
         raise InputError(f"need 1 <= d <= n, got d={d}, n={n}")
+
+
+def _capacity_checked(n: int, d: int) -> tuple[int, ...]:
+    _check_n_d(n, d)
     count = math.comb(n, d)
     if count > MAX_SUBSET_SPACE:
         raise CapacityError(
@@ -59,7 +67,7 @@ def _capacity_checked(n: int, d: int) -> tuple[int, ...]:
 
 
 def _check_count(name: str, value, least: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise InputError(f"{name} must be an int, got {value!r}")
     if value < least:
         raise InputError(f"{name} must be >= {least}, got {value}")
@@ -85,9 +93,6 @@ def enumerate_pure_ideals(n: int, d: int):
 
 # --- symmetry reduction -------------------------------------------------------
 
-_PERM_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-
-
 def _image(mask: int, arr) -> int:
     """`mask` with each set bit i moved to bit arr[i]."""
     out = 0
@@ -98,20 +103,15 @@ def _image(mask: int, arr) -> int:
     return out
 
 
+@functools.cache
 def _index_perms(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     """For each variable permutation but the identity, the induced
     permutation of monomial indices.  Feasible for n <= 7 only."""
-    key = (n, d)
-    cached = _PERM_CACHE.get(key)
-    if cached is not None:
-        return cached
     monomials = degree_monomial_masks(n, d)
     index_of = {m: i for i, m in enumerate(monomials)}
     perms = itertools.permutations(range(n))
     next(perms)  # the identity comes first
-    result = tuple(tuple(index_of[_image(m, p)] for m in monomials) for p in perms)
-    _PERM_CACHE[key] = result
-    return result
+    return tuple(tuple(index_of[_image(m, p)] for m in monomials) for p in perms)
 
 
 def _orbit_size(index: int, perms) -> int:
@@ -563,8 +563,7 @@ def open_case_search(
     `degree_monomial_masks(n, d)` and builds only the drawn monomials, so
     the C(n, d) monomials are never listed."""
     _check_ambient(n)
-    if not 1 <= d <= n:
-        raise InputError(f"need 1 <= d <= n, got d={d}, n={n}")
+    _check_n_d(n, d)
     _check_count("samples", samples, 0)
     count = math.comb(n, d)
     bound = theorem_bound(n, d)

@@ -437,14 +437,17 @@ class TestPaperSuite:
 
 
 class TestReadme:
+    @staticmethod
+    def section(title):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            return fh.read().split(f"## {title}\n", 1)[1]
+
     def test_usage_block_lists_every_command_and_option(self):
         """Each subcommand has a `monomial-lab NAME` line (with its indented
         continuation lines) in README's "Command line" block, and those
         lines name every option of that subcommand."""
-        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-        with open(readme, encoding="utf-8") as fh:
-            section = fh.read().split("## Command line", 1)[1]
-        block = section.split("```\n", 2)[1]
+        block = self.section("Command line").split("```\n", 2)[1]
         usage: dict[str, set[str]] = {}
         name = None
         for line in block.splitlines():
@@ -458,6 +461,22 @@ class TestReadme:
             options = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
             assert options <= usage[command], (command, options - usage[command])
 
+    def test_library_block_runs_as_commented(self):
+        """README's "Library" block runs line by line, and each line with a
+        `#` comment prints as the comment, or as its start before ", "."""
+        block = self.section("Library").split("```python\n", 1)[1].split("```", 1)[0]
+        namespace: dict = {}
+        shown = []
+        for line in block.splitlines():
+            code, _, comment = line.partition("#")
+            if not comment:
+                exec(code, namespace)
+                continue
+            value, comment = str(eval(code, namespace)), comment.strip()
+            assert comment == value or comment.startswith(value + ", "), (code, value)
+            shown.append(value)
+        assert shown
+
 
 class TestEntryPoint:
     def test_module_invocation(self, remark_file):
@@ -467,33 +486,6 @@ class TestEntryPoint:
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0 and proc.stdout.strip() == "4"
-
-    def test_jobs_env_default(self, monkeypatch):
-        import importlib
-
-        from monomial_lab import cli as cli_module
-
-        monkeypatch.setenv("MONOMIAL_LAB_JOBS", "3")
-        importlib.reload(cli_module)
-        try:
-            args = cli_module.build_parser().parse_args(
-                ["verify", "--n", "4", "--d", "2"]
-            )
-            assert args.jobs == 3
-        finally:
-            monkeypatch.delenv("MONOMIAL_LAB_JOBS")
-            importlib.reload(cli_module)
-
-    def test_bad_jobs_env_fails_verify_only(self, capsys, monkeypatch):
-        """A non-integer MONOMIAL_LAB_JOBS is a usage error of `verify`
-        (exit 2) and is not read by any other command."""
-        monkeypatch.setenv("MONOMIAL_LAB_JOBS", "abc")
-        code, out, _ = run_cli(capsys, "bound", "--d", "2", "--n", "5")
-        assert code == 0 and out
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--n", "4", "--d", "2"])
-        assert exc.value.code == 2
-        assert "abc" in capsys.readouterr().err
 
     def test_internal_error_exits_3(self, capsys, tmp_path, monkeypatch):
         from monomial_lab import cli as cli_module

@@ -35,6 +35,8 @@ from monomial_lab.core import (
     restriction,
     truncation,
 )
+from monomial_lab.complexes import FieldSpec, SimplicialComplex
+from monomial_lab.harness import gcd_lemma_sweep, open_case_search, verify_range
 
 
 def mono(n, *vs):
@@ -464,3 +466,35 @@ class TestTextFormat:
             n = rng.randint(1, 64)
             I = Ideal.from_masks(n, random_gens(rng, n, rng.randint(0, 6)))
             assert parse_ideal(format_ideal(I)) == I
+
+
+# Each check named in the integer rule, called with a bool where it takes an int.
+INT_CHECKS = {
+    "ambient": lambda b: Ideal(b),
+    "monomial-ambient": lambda b: Monomial(b),
+    "variable": lambda b: Monomial.of(3, b),
+    "mask": lambda b: Monomial(3, b),
+    "truncation": lambda b: truncation(ideal(3, (1,)), b),
+    "complex-ambient": lambda b: SimplicialComplex(b),
+    "facet": lambda b: SimplicialComplex(3, (b,)),
+    "field": lambda b: FieldSpec(b),
+    "jobs": lambda b: verify_range(4, 2, jobs=b),
+    "chunk-size": lambda b: verify_range(4, 2, chunk_size=b),
+    "verify-n": lambda b: verify_range(b, 1),
+    "verify-d": lambda b: verify_range(4, b),
+    "sweep-n": lambda b: gcd_lemma_sweep(b, 1),
+    "sweep-d": lambda b: gcd_lemma_sweep(4, b),
+    "search-n": lambda b: open_case_search(b, 1, samples=1),
+    "search-d": lambda b: open_case_search(4, b, samples=1),
+    "samples": lambda b: open_case_search(4, 2, samples=b),
+}
+
+
+class TestIntegerRule:
+    """Every int check takes an int that is not a bool (`core._is_int`)."""
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("call", INT_CHECKS.values(), ids=INT_CHECKS.keys())
+    def test_bools_are_refused(self, call, flag):
+        with pytest.raises(InputError):
+            call(flag)

@@ -355,9 +355,9 @@ class TestDualWork:
         I = ideal(4, (1, 2), (2, 3), (3, 4))
         assert work(lambda: alexander_dual(I)) == (1, 1)
         assert work(lambda: alexander_dual(I), clear=False) == (0, 0)  # was (1, 1)
-        assert len(complexes._DUAL) == 1
+        assert complexes._dual_of.cache_info().currsize == 1
         complexes.clear_caches()
-        assert not complexes._DUAL
+        assert complexes._dual_of.cache_info().currsize == 0
         assert work(lambda: alexander_dual(I), clear=False) == (1, 1)
 
 
@@ -379,7 +379,7 @@ class TestDualMemo:
             dual = alexander_dual(I)
         assert dual.ambient == n
         assert dual.gen_masks == expected
-        assert len(complexes._DUAL) <= 1
+        assert complexes._dual_of.cache_info().currsize == 1
 
     def test_interleaved_against_subset_scan(self):
         """About 200 requests: new ideals, repeats of the last or an earlier
@@ -429,7 +429,9 @@ class TestDualMemo:
     def test_zero_ideal_raises_before_the_memo(self):
         complexes.clear_caches()
         D = alexander_dual(ideal(3, (1, 2)))
+        info = complexes._dual_of.cache_info()
         for call in (alexander_dual, height_profile, is_S2):
             with pytest.raises(InputError):
                 call(Ideal(3))
-        assert list(complexes._DUAL.values()) == [D]
+        assert complexes._dual_of.cache_info() == info
+        assert alexander_dual(ideal(3, (1, 2))) is D
