@@ -24,6 +24,7 @@ from .core import (
     InputError,
     InternalCheckError,
     PreconditionError,
+    _check_int,
     truncation,
 )
 from .duality import cohomological_dimension, height_profile, is_S2
@@ -44,33 +45,29 @@ def _g(n: int, d: int) -> int:
 
 def f_bound(n: int, d: int) -> int:
     """Piecewise regularity bound f(n, d); requires d >= 2, n >= 0."""
-    if d < 2:
-        raise InputError(f"f(n, d) requires d >= 2, got d={d}")
-    if n < 0:
-        raise InputError(f"f(n, d) requires n >= 0, got n={n}")
+    _check_int("d", d, 2)
+    _check_int("n", n, 0)
     return _f(n, d)
 
 
 def g_bound(n: int, d: int) -> int:
     """Comparison bound g(n, d); requires d >= 2, n >= 1."""
-    if d < 2:
-        raise InputError(f"g(n, d) requires d >= 2, got d={d}")
-    if n < 1:
-        raise InputError(f"g(n, d) requires n >= 1, got n={n}")
+    _check_int("d", d, 2)
+    _check_int("n", n, 1)
     return _g(n, d)
 
 
 def faltings_bound(n: int, bigheight: int) -> int:
     """n - floor((n-1) / (bigheight + 1))."""
-    if n < 1 or bigheight < 1:
-        raise InputError("faltings_bound requires n >= 1 and bigheight >= 1")
+    _check_int("n", n, 1)
+    _check_int("bigheight", bigheight, 1)
     return n - (n - 1) // (bigheight + 1)
 
 
 def theorem_bound(n: int, d: int) -> int:
     """max(d, f(n, d)); at d = 1 this is 1, as f(n, 1) <= 1."""
-    if d < 1:
-        raise InputError(f"need d >= 1, got {d}")
+    _check_int("d", d, 1)
+    _check_int("n", n, 0)
     return max(d, _f(n, d))
 
 
@@ -174,10 +171,10 @@ def sharp_example(n: int, d: int, verify: bool = True) -> Ideal:
     k+1, plus one monomial of degree s when 2 <= s <= k, and truncate to
     degree d.  The stated properties are re-verified before returning.
     """
-    if d < 3 or d % 2 == 0:
+    _check_int("d", d, 3)
+    if d % 2 == 0:
         raise InputError(f"sharp_example requires odd d >= 3, got {d}")
-    if n < d:
-        raise InputError(f"sharp_example requires n >= d, got n={n} < d={d}")
+    _check_int("n", n, d)
     if n == d:
         ideal = Ideal.from_masks(n, [(1 << d) - 1])
     else:

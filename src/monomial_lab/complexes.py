@@ -57,7 +57,7 @@ import functools
 from dataclasses import dataclass
 
 from .core import (CapacityError, InputError, InternalCheckError, Ideal, canon_key,
-                   mask_to_vars, minimalize_masks, _is_int, _vars_to_mask)
+                   mask_to_vars, minimalize_masks, _is_int, _subset_mask, _vars_to_mask)
 from .exact_rank import rank_bareiss, rank_f2_columns, rank_mod_p
 from .transversals import minimal_transversals
 
@@ -215,10 +215,9 @@ def stanley_reisner(I: Ideal) -> SimplicialComplex:
 
 
 def restrict_complex(C: SimplicialComplex, sigma) -> SimplicialComplex:
-    """Subcomplex of faces contained in the vertex subset sigma."""
-    smask = sigma if isinstance(sigma, int) else _vars_to_mask(C.ambient, sigma)
-    if smask >> C.ambient:
-        raise InputError("restriction set outside ambient vertex range")
+    """Subcomplex of faces contained in the vertex subset sigma: an int mask
+    inside the ambient, or an iterable of 1-based vertex indices."""
+    smask = _subset_mask(C.ambient, sigma)
     if C.is_void:
         return C
     return SimplicialComplex(C.ambient, tuple(f & smask for f in C.facets))

@@ -55,6 +55,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_int(name: str, value, least: int) -> None:
+    """`value` is an int (`_is_int`) of at least `least`."""
+    if not _is_int(value):
+        raise InputError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise InputError(f"{name} must be >= {least}, got {value}")
+
+
 def _vars_to_mask(ambient: int, variables) -> int:
     mask = 0
     for v in variables:
@@ -120,7 +128,8 @@ class Monomial:
         return f"Monomial({self.ambient}, {self})"
 
 
-def _same_ambient(u: Monomial, v: Monomial) -> None:
+def _same_ambient(u, v) -> None:
+    """`u` and `v` (monomials, ideals, ...) have the same ambient."""
     if u.ambient != v.ambient:
         raise InputError(f"ambient mismatch: {u.ambient} vs {v.ambient}")
 
@@ -284,8 +293,7 @@ class Ideal:
 
     def contains(self, m: Monomial) -> bool:
         """Membership: some generator divides m."""
-        if m.ambient != self.ambient:
-            raise InputError(f"ambient mismatch: {m.ambient} vs {self.ambient}")
+        _same_ambient(m, self)
         return self.contains_mask(m.mask)
 
     def __str__(self):
@@ -312,11 +320,22 @@ def minimal_generators(monomials, ambient: int | None = None) -> Ideal:
     return Ideal.from_masks(ambient, minimalize_masks(m.mask for m in monomials))
 
 
+def _subset_mask(ambient: int, subset) -> int:
+    """The mask of a vertex subset of 1..ambient, given as an int mask
+    (`_is_int`, so no bool) or as an iterable of 1-based indices."""
+    if not _is_int(subset):
+        if not hasattr(subset, "__iter__"):
+            raise InputError(f"vertex subset {subset!r} is neither a mask nor variable indices")
+        subset = _vars_to_mask(ambient, subset)
+    if subset >> ambient:  # also every negative mask
+        raise InputError(f"restriction set outside ambient 1..{ambient}")
+    return subset
+
+
 def restriction(I: Ideal, U) -> Ideal:
-    """Sub-ideal of generators supported inside the variable subset U."""
-    umask = U if isinstance(U, int) else _vars_to_mask(I.ambient, U)
-    if umask >> I.ambient:
-        raise InputError(f"restriction set outside 1..{I.ambient}")
+    """Sub-ideal of generators supported inside the variable subset U: an
+    int mask inside the ambient, or an iterable of 1-based variable indices."""
+    umask = _subset_mask(I.ambient, U)
     return Ideal(I.ambient, tuple(g for g in I.gens if g.mask & ~umask == 0))
 
 
@@ -331,8 +350,7 @@ def localize(I: Ideal, f: Monomial):
     """
     if f.mask == 0:
         raise InputError("cannot localize at 1")
-    if not I.is_zero:
-        _same_ambient(f, I.gens[0])
+    _same_ambient(f, I)
     if I.is_zero:
         return Ideal(I.ambient), Ideal(I.ambient)
     lifted = minimalize_masks(g.mask | f.mask for g in I.gens)
@@ -345,8 +363,7 @@ def localize(I: Ideal, f: Monomial):
 
 def truncation(I: Ideal, d: int) -> Ideal:
     """Ideal generated by all squarefree degree-d monomials lying in I."""
-    if not _is_int(d) or d < 1:
-        raise InputError(f"truncation degree must be a positive integer, got {d!r}")
+    _check_int("truncation degree", d, 1)
     if d > I.ambient:
         raise InputError(f"truncation degree {d} exceeds ambient {I.ambient}")
     found: set[int] = set()
@@ -369,14 +386,12 @@ def squarefree_multiples(mask: int, n: int, d: int) -> tuple[int, ...]:
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
-    if I.ambient != J.ambient:
-        raise InputError("ambient mismatch")
+    _same_ambient(I, J)
     return Ideal.from_masks(I.ambient, minimalize_masks(I.gen_masks + J.gen_masks))
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
-    if I.ambient != J.ambient:
-        raise InputError("ambient mismatch")
+    _same_ambient(I, J)
     if I.is_zero or J.is_zero:
         return Ideal(I.ambient)
     pair_lcms = [a | b for a in I.gen_masks for b in J.gen_masks]

@@ -11,6 +11,7 @@ Long runs persist a resumable JSON checkpoint.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -31,6 +32,7 @@ from .core import (
     InputError,
     Monomial,
     _check_ambient,
+    _check_int,
     _is_int,
     squarefree_multiples,
 )
@@ -64,13 +66,6 @@ def _capacity_checked(n: int, d: int) -> tuple[int, ...]:
             f"at most {MAX_SUBSET_SPACE} are supported"
         )
     return degree_monomial_masks(n, d)
-
-
-def _check_count(name: str, value, least: int) -> None:
-    if not _is_int(value):
-        raise InputError(f"{name} must be an int, got {value!r}")
-    if value < least:
-        raise InputError(f"{name} must be >= {least}, got {value}")
 
 
 def _subset_gens(monomials: tuple[int, ...], index: int) -> tuple[int, ...]:
@@ -310,16 +305,16 @@ def verify_range(
     are the labelled ones of "off", the extremal ideals one per orbit.  The
     checkpoint records the stream's length and hash; a resume refuses a
     stream at least that long whose first bytes do not match, and cuts a
-    matching one back.  An error while merging (a failed checkpoint write,
-    say) terminates the worker pool at once instead of waiting for the
-    queued chunks.
+    matching one back.  The worker pool is terminated when the merge ends,
+    normally or by an error (a failed checkpoint write, say), so queued
+    chunks are never waited for.
     """
     if symmetry not in ("off", "orbits"):
         raise InputError(f"symmetry must be off|orbits, got {symmetry!r}")
     if symmetry == "orbits" and n > 7:
         raise InputError("symmetry reduction enumerates n! permutations; n <= 7 only")
-    _check_count("jobs", jobs, 1)
-    _check_count("chunk_size", chunk_size, 1)
+    _check_int("jobs", jobs, 1)
+    _check_int("chunk_size", chunk_size, 1)
     monomials = _capacity_checked(n, d)
     total = (1 << len(monomials)) - 1
     bound = theorem_bound(n, d)
@@ -327,28 +322,27 @@ def verify_range(
 
     stamp = {"n": n, "d": d, "field": field.label, "chunk_size": chunk_size,
              "symmetry": symmetry}
-    state = _START_STATE
     doc = {}
     if resume:
         if checkpoint_path is None:
             raise CheckpointError("resume requested without a checkpoint path")
         doc = _read_checkpoint(checkpoint_path, stamp)
-        state = {key: doc[key] for key in _START_STATE}
+    state = {key: doc.get(key, default) for key, default in _START_STATE.items()}
 
-    stream = sha = None
-    if stream_path:
-        length = doc.get("stream_length")
-        with open(stream_path, "a+b") as fh:  # creates a missing file
-            fh.seek(0)
-            sha = hashlib.sha256(fh.read(length))  # the whole file when length is None
-            end = fh.seek(0, os.SEEK_END)
-        if length is not None and end >= length:
-            if sha.hexdigest() != doc.get("stream_sha256"):
-                raise CheckpointError(
-                    f"stream {stream_path} does not begin with the bytes its checkpoint hashed")
-            os.truncate(stream_path, length)  # records of chunks the checkpoint lacks
-        stream = open(stream_path, "ab")
-    try:
+    # the stream and the worker pool are released on one path, error or not
+    with contextlib.ExitStack() as stack:
+        stream = sha = None
+        if stream_path:
+            stream = stack.enter_context(open(stream_path, "a+b"))  # creates a missing file
+            stream.seek(0)
+            length = doc.get("stream_length")
+            sha = hashlib.sha256(stream.read(length))  # the whole file when length is None
+            if length is not None and stream.seek(0, os.SEEK_END) >= length:
+                if sha.hexdigest() != doc.get("stream_sha256"):
+                    raise CheckpointError(
+                        f"stream {stream_path} does not begin with the bytes its checkpoint hashed")
+                stream.seek(length)
+                stream.truncate()  # records of chunks the checkpoint lacks
         starts = range(state["cursor"], total + 1, chunk_size)
         tasks = [
             (n, d, field.p, s, min(s + chunk_size - 1, total), bound, symmetry)
@@ -356,33 +350,21 @@ def verify_range(
         ]
         if jobs == 1 or len(tasks) <= 1:
             results = map(_verify_chunk, tasks)
-            pool = None
         else:
-            ctx = get_context("fork")
-            pool = ctx.Pool(processes=min(jobs, len(tasks)))
+            pool = get_context("fork").Pool(processes=min(jobs, len(tasks)))
+            stack.callback(lambda: pool.terminate())  # `terminate` is read at exit, not here
             results = pool.imap(_verify_chunk, tasks)
-        try:
-            mark = {}
-            for partial in results:
-                state = _merge(state, partial)
-                if stream is not None:
-                    for line in _stream_lines(n, monomials, partial, state["running_max"]):
-                        stream.write(line)
-                        sha.update(line)
-                    stream.flush()
-                    mark = {"stream_length": stream.tell(), "stream_sha256": sha.hexdigest()}
-                if checkpoint_path is not None:
-                    _write_checkpoint(checkpoint_path, {**stamp, **state, **mark})
-        except BaseException:
-            if pool is not None:
-                pool.terminate()
-            raise
-        if pool is not None:
-            pool.close()
-            pool.join()
-    finally:
-        if stream is not None:
-            stream.close()
+        mark = {}
+        for partial in results:
+            state = _merge(state, partial)
+            if stream is not None:
+                for line in _stream_lines(n, monomials, partial, state["running_max"]):
+                    stream.write(line)
+                    sha.update(line)
+                stream.flush()
+                mark = {"stream_length": stream.tell(), "stream_sha256": sha.hexdigest()}
+            if checkpoint_path is not None:
+                _write_checkpoint(checkpoint_path, {**stamp, **state, **mark})
 
     extremal = tuple(
         Ideal.from_masks(n, _subset_gens(monomials, idx)) for idx in state["extremal_so_far"]
@@ -564,7 +546,7 @@ def open_case_search(
     the C(n, d) monomials are never listed."""
     _check_ambient(n)
     _check_n_d(n, d)
-    _check_count("samples", samples, 0)
+    _check_int("samples", samples, 0)
     count = math.comb(n, d)
     bound = theorem_bound(n, d)
     rng = random.Random(seed)

@@ -24,6 +24,9 @@ from .core import (
     Monomial,
     PreconditionError,
     TheoremViolationError,
+    _check_int,
+    _is_int,
+    _same_ambient,
     squarefree_multiples,
 )
 
@@ -146,7 +149,7 @@ def generator_graph(I: Ideal) -> GenGraph:
 
 def lcm_induced_subgraph(G: GenGraph, u: int, v: int) -> LcmSubgraph:
     r = len(G.adjacency)
-    if not (0 <= u < r and 0 <= v < r):
+    if not (_is_int(u) and _is_int(v) and 0 <= u < r and 0 <= v < r):
         raise InputError(f"generator index out of range 0..{r - 1}")
     gens = G.ideal.gen_masks
     big = gens[u] | gens[v]
@@ -177,8 +180,7 @@ def is_N2_graph(I: Ideal):
 def is_Nk_betti(I: Ideal, k: int, field: FieldSpec = RATIONALS) -> bool:
     """Betti criterion: rows 0..k-1 of the ideal's table live only in the
     linear degrees j = i + d."""
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
+    _check_int("k", k, 1)
     d = _pure_degree_checked(I)
     return nk_betti_masks(I.gen_masks, d, k, field)
 
@@ -210,8 +212,7 @@ def gcd_witness(I: Ideal, f: Monomial) -> tuple[Monomial, Monomial]:
     and is treated as a bug or a falsification.
     """
     d = _pure_degree_checked(I)
-    if f.ambient != I.ambient:
-        raise InputError("ambient mismatch")
+    _same_ambient(f, I)
     if not 2 <= f.degree <= d:
         raise PreconditionError(f"need 2 <= deg f <= {d}, got {f.degree}")
     if all(f.mask & ~g.mask == 0 for g in I.gens):

@@ -1,5 +1,7 @@
 """Monomial and ideal arithmetic against brute-force enumeration."""
 
+import ast
+import pathlib
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from oracles import (
     spread,
 )
 
+import monomial_lab
 from monomial_lab.core import (
     UNIT_IDEAL,
     CapacityError,
@@ -35,8 +38,10 @@ from monomial_lab.core import (
     restriction,
     truncation,
 )
-from monomial_lab.complexes import FieldSpec, SimplicialComplex
+from monomial_lab.bounds import f_bound, faltings_bound, g_bound, sharp_example, theorem_bound
+from monomial_lab.complexes import FieldSpec, SimplicialComplex, restrict_complex
 from monomial_lab.harness import gcd_lemma_sweep, open_case_search, verify_range
+from monomial_lab.linearity import generator_graph, is_Nk_betti, lcm_induced_subgraph
 
 
 def mono(n, *vs):
@@ -287,6 +292,10 @@ class TestLocalize:
         I_f, Ibar = localize(Ideal(3), mono(3, 1))
         assert I_f.is_zero and Ibar.is_zero
 
+    def test_zero_ideal_checks_the_ambient(self):
+        with pytest.raises(InputError, match="ambient mismatch: 5 vs 3"):
+            localize(Ideal(3), mono(5, 1))
+
     def test_against_oracle(self):
         rng = random.Random(3)
         for _ in range(80):
@@ -487,6 +496,32 @@ INT_CHECKS = {
     "search-n": lambda b: open_case_search(b, 1, samples=1),
     "search-d": lambda b: open_case_search(4, b, samples=1),
     "samples": lambda b: open_case_search(4, 2, samples=b),
+    "restriction": lambda b: restriction(ideal(3, (1,), (2, 3)), b),
+    "restrict-complex": lambda b: restrict_complex(SimplicialComplex(3, (7,)), b),
+    "f-n": lambda b: f_bound(b, 3),
+    "f-d": lambda b: f_bound(7, b),
+    "g-n": lambda b: g_bound(b, 2),
+    "g-d": lambda b: g_bound(7, b),
+    "theorem-n": lambda b: theorem_bound(b, 2),
+    "theorem-d": lambda b: theorem_bound(7, b),
+    "faltings-n": lambda b: faltings_bound(b, 2),
+    "faltings-bigheight": lambda b: faltings_bound(7, b),
+    "nk-k": lambda b: is_Nk_betti(ideal(3, (1, 2), (2, 3)), b),
+    "lcm-subgraph-u": lambda b: lcm_induced_subgraph(
+        generator_graph(ideal(3, (1, 2), (2, 3))), b, 0),
+    "lcm-subgraph-v": lambda b: lcm_induced_subgraph(
+        generator_graph(ideal(3, (1, 2), (2, 3))), 0, b),
+    "sharp-n": lambda b: sharp_example(b, 3),
+    "sharp-d": lambda b: sharp_example(9, b),
+}
+
+# Floats where an int is taken, and a negative mask as a vertex subset.
+NON_INTS = {
+    "f-float-n": lambda: f_bound(7.5, 3),
+    "nk-float-k": lambda: is_Nk_betti(ideal(3, (1, 2), (2, 3)), 1.5),
+    "sharp-floats": lambda: sharp_example(9.0, 3.0),
+    "restriction-negative-mask": lambda: restriction(ideal(3, (1,), (2, 3)), -1),
+    "restriction-float": lambda: restriction(ideal(3, (1,), (2, 3)), 1.5),
 }
 
 
@@ -498,3 +533,29 @@ class TestIntegerRule:
     def test_bools_are_refused(self, call, flag):
         with pytest.raises(InputError):
             call(flag)
+
+    @pytest.mark.parametrize("call", NON_INTS.values(), ids=NON_INTS.keys())
+    def test_non_ints_are_refused(self, call):
+        with pytest.raises(InputError):
+            call()
+
+    def test_is_int_is_the_only_int_test(self):
+        """No module of the package calls isinstance(..., int) outside
+        `core._is_int`: every int check goes through that one rule."""
+        offenders = []
+        for path in sorted(pathlib.Path(monomial_lab.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            allowed = set()
+            if path.name == "core.py":
+                allowed = {id(node) for fn in tree.body
+                           if isinstance(fn, ast.FunctionDef) and fn.name == "_is_int"
+                           for node in ast.walk(fn)}
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "isinstance" and len(node.args) == 2
+                        and id(node) not in allowed):
+                    kinds = node.args[1]
+                    names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                    if any(isinstance(k, ast.Name) and k.id == "int" for k in names):
+                        offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []

@@ -4,6 +4,7 @@ the built-in golden example, and the gcd witness sweep."""
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import random
 import signal
@@ -237,6 +238,21 @@ class TestVerifyRange:
         # 1,023 indices in chunks of 512: two tasks
         assert verify_range(5, 2, jobs=64, chunk_size=512).to_json() == straight
         assert requested == [2]
+
+    def test_no_worker_outlives_the_run(self, tmp_path, monkeypatch):
+        """Both the clean end and a failed checkpoint write leave no worker."""
+        from monomial_lab import harness
+
+        verify_range(5, 2, jobs=2, chunk_size=64)
+        assert multiprocessing.active_children() == []
+
+        def failing_write(path, doc):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, "_write_checkpoint", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            verify_range(5, 2, jobs=2, chunk_size=64, checkpoint_path=str(tmp_path / "ck"))
+        assert multiprocessing.active_children() == []
 
     def test_resume_without_path(self):
         with pytest.raises(CheckpointError):
