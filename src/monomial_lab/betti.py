@@ -53,18 +53,18 @@ rational answer (a 2-torsion hit leaves it) and the result is exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .complexes import (
     RATIONALS,
     FieldSpec,
+    _check_field,
     exact_rational_hq,
     homology_profile,
     _boundary_ranks,
     _remap,
 )
-from .core import Ideal, InputError, MaskIndex, canon_key, mask_to_vars
+from .core import Ideal, InputError, MaskIndex, canon_key, mask_to_vars, to_json
 
 
 def _saturated_sigmas(gen_masks, supp: int, floor=(0,)):
@@ -109,6 +109,7 @@ def _scan_max(gens, field: FieldSpec, best: int, value) -> int:
     band is empty.  Over Q the walk reads GF(2) dimensions, and a hit that
     would raise best is confirmed over Q before it does.
     """
+    _check_field(field)
     # in canonical order the relabelled generators come out canonical too,
     # so equal local complexes share one cache entry
     gens = sorted(gens, key=canon_key)
@@ -183,7 +184,7 @@ class BettiTable:
                 {"i": i, "sigma": list(mask_to_vars(s)), "rank": r}
                 for (i, s), r in sorted(self.fine.items())
             ]
-        return json.dumps(doc, sort_keys=True)
+        return to_json(doc)
 
     def format_grid(self) -> str:
         """Text grid with rows j - i and columns i."""
@@ -221,6 +222,7 @@ def betti_table(
     quotient: bool = False,
 ) -> BettiTable:
     """Exact Betti table of the ideal I (or of S/I with quotient=True)."""
+    _check_field(field)
     if I.is_zero:
         raise InputError("Betti table of the zero ideal is undefined")
     shift = 0 if quotient else 1

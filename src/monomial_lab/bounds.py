@@ -14,7 +14,6 @@ from the cohomological-dimension question that f sharpens.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .betti import regularity
@@ -25,6 +24,7 @@ from .core import (
     InternalCheckError,
     PreconditionError,
     _check_int,
+    report_json,
     truncation,
 )
 from .duality import cohomological_dimension, height_profile, is_S2
@@ -98,7 +98,7 @@ class BoundReport:
     f_support: int
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
+        return report_json(self)
 
 
 def _report(kind: str, I: Ideal, d: int, value: int, use_support: bool) -> BoundReport:

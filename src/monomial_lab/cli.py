@@ -8,7 +8,6 @@ Exit codes: 0 success / verdict true, 1 verdict false, 2 input error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import partial
 
@@ -30,6 +29,7 @@ from .core import (
     parse_ideal,
     truncation,
     minimal_generators,
+    to_json,
 )
 from .duality import alexander_dual, cohomological_dimension, height_profile, is_S2
 from .linearity import gcd_witness, is_N2_graph, is_Nk_betti
@@ -63,7 +63,7 @@ def cmd_n2(args, ideal):
     ok, witness = is_N2_graph(ideal)
     if ok:
         return {"n2": True}, "true", EXIT_OK
-    doc = {"n2": False, "witness": {"u": str(witness[0]), "v": str(witness[1])}}
+    doc = {"n2": False, "witness": {"u": witness[0], "v": witness[1]}}
     return doc, f"false  witness: ({witness[0]}, {witness[1]})", EXIT_FALSE
 
 
@@ -113,7 +113,7 @@ def cmd_bound(args, ideal):
 def cmd_sharp(args, ideal):
     sharp = sharp_example(args.n, args.d)
     reg = f_bound(args.n, args.d)
-    doc = {"n": args.n, "d": args.d, "gens": [str(g) for g in sharp.gens], "reg": reg}
+    doc = {"n": args.n, "d": args.d, "gens": sharp, "reg": reg}
     return doc, format_ideal(sharp) + f"# reg {reg} = f({args.n},{args.d})", EXIT_OK
 
 
@@ -311,7 +311,7 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.json:
-        print(doc if isinstance(doc, str) else json.dumps(doc, sort_keys=True))
+        print(doc if isinstance(doc, str) else to_json(doc))
     else:
         print(human)
     return code

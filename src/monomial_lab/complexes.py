@@ -137,6 +137,12 @@ RATIONALS = FieldSpec(None)
 GF2 = FieldSpec(2)
 
 
+def _check_field(field) -> None:
+    """`field` is a FieldSpec: the field check of every public entry point."""
+    if not isinstance(field, FieldSpec):
+        raise InputError(f"field must be a FieldSpec, got {field!r}")
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Facet list on vertices 1..ambient (stored as bitmasks).
@@ -589,6 +595,7 @@ def reduced_homology_dims(C: SimplicialComplex, field: FieldSpec = RATIONALS) ->
     Entries run from p = -1 up to dim(C); the void complex gives {} (all
     homology zero).  Independent of facet input order.
     """
+    _check_field(field)
     if C.is_void:
         return {}
     verts = 0

@@ -8,6 +8,7 @@ ascending); ideals keep their minimal generators sorted in that order.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 
 MAX_AMBIENT = 64
@@ -396,6 +397,28 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
         return Ideal(I.ambient)
     pair_lcms = [a | b for a in I.gen_masks for b in J.gen_masks]
     return Ideal.from_masks(I.ambient, minimalize_masks(pair_lcms))
+
+
+def _json_default(obj):
+    """An ideal as the list of its generator strings, a monomial as its string."""
+    if isinstance(obj, Ideal):
+        return [str(g) for g in obj.gens]
+    if isinstance(obj, Monomial):
+        return str(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def to_json(doc) -> str:
+    """The one JSON writer of the package: sorted keys, `_json_default` hook."""
+    return json.dumps(doc, sort_keys=True, default=_json_default)
+
+
+def report_json(report, **rendered) -> str:
+    """A report dataclass as JSON: its fields but the wall-clock `elapsed`,
+    with `rendered` replacing or adding the fields whose JSON shape differs."""
+    doc = {**vars(report), **rendered}
+    doc.pop("elapsed", None)
+    return to_json(doc)
 
 
 # --- plain-text ideal format -------------------------------------------------

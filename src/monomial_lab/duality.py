@@ -17,12 +17,11 @@ share one dual.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .betti import projective_dimension, regularity
 from .complexes import RATIONALS, FieldSpec, alexander_dual
-from .core import Ideal, InternalCheckError
+from .core import Ideal, InternalCheckError, report_json
 from .linearity import n2_verdict_masks
 
 
@@ -34,15 +33,7 @@ class DualReport:
     pure: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dual": [str(g) for g in self.dual.gens],
-                "height": self.height,
-                "bigheight": self.bigheight,
-                "pure": self.pure,
-            },
-            sort_keys=True,
-        )
+        return report_json(self)
 
 
 def height_profile(I: Ideal) -> DualReport:

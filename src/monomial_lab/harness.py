@@ -25,7 +25,7 @@ from multiprocessing import get_context
 
 from .betti import regularity_masks
 from .bounds import theorem_bound
-from .complexes import RATIONALS, FieldSpec
+from .complexes import RATIONALS, FieldSpec, _check_field
 from .core import (
     CapacityError,
     Ideal,
@@ -34,7 +34,9 @@ from .core import (
     _check_ambient,
     _check_int,
     _is_int,
+    report_json,
     squarefree_multiples,
+    to_json,
 )
 from .linearity import _gcd_witness_masks, _linear_after, n2_verdict_masks
 
@@ -151,23 +153,7 @@ class EnumerationSummary:
 
     def to_json(self) -> str:
         """Deterministic serialization (wall-clock time excluded)."""
-        doc = {
-            "n": self.n,
-            "d": self.d,
-            "field": self.field,
-            "total_ideals": self.total_ideals,
-            "checked": self.checked,
-            "n2_count": self.n2_count,
-            "max_reg": self.max_reg,
-            "bound": self.bound,
-            "extremal": [[str(g) for g in ideal.gens] for ideal in self.extremal],
-            "violations": [
-                {"gens": [str(g) for g in ideal.gens], "reg": reg}
-                for ideal, reg in self.violations
-            ],
-            "cursor": self.cursor,
-        }
-        return json.dumps(doc, sort_keys=True)
+        return report_json(self, violations=[{"gens": I, "reg": reg} for I, reg in self.violations])
 
 
 def _verify_chunk(task):
@@ -215,7 +201,7 @@ def _verify_chunk(task):
 def _write_checkpoint(path: str, doc: dict) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        fh.write(to_json(doc))
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -277,9 +263,9 @@ def _stream_lines(n: int, monomials: tuple[int, ...], partial: dict, running_max
     records = [("extremal", idx, running_max) for idx in extremal]
     records += [("violation", idx, reg) for idx, reg in partial["violations"]]
     for kind, idx, reg in records:
-        gens = [str(Monomial(n, m)) for m in _subset_gens(monomials, idx)]
+        gens = [Monomial(n, m) for m in _subset_gens(monomials, idx)]
         doc = {"type": kind, "index": idx, "reg": reg, "gens": gens}
-        yield (json.dumps(doc, sort_keys=True) + "\n").encode()
+        yield (to_json(doc) + "\n").encode()
 
 
 def verify_range(
@@ -313,6 +299,7 @@ def verify_range(
         raise InputError(f"symmetry must be off|orbits, got {symmetry!r}")
     if symmetry == "orbits" and n > 7:
         raise InputError("symmetry reduction enumerates n! permutations; n <= 7 only")
+    _check_field(field)
     _check_int("jobs", jobs, 1)
     _check_int("chunk_size", chunk_size, 1)
     monomials = _capacity_checked(n, d)
@@ -427,18 +414,7 @@ class GcdSweepReport:
         return not self.violations
 
     def to_json(self) -> str:
-        doc = {
-            "n": self.n,
-            "d": self.d,
-            "ideals": self.ideals,
-            "pairs_checked": self.pairs_checked,
-            "witnesses_found": self.witnesses_found,
-            "violations": [
-                {"gens": [str(g) for g in ideal.gens], "f": str(f)}
-                for ideal, f in self.violations
-            ],
-        }
-        return json.dumps(doc, sort_keys=True)
+        return report_json(self, violations=[{"gens": I, "f": f} for I, f in self.violations])
 
 
 def gcd_lemma_sweep(n: int, d: int) -> GcdSweepReport:
@@ -502,18 +478,7 @@ class SearchReport:
     elapsed: float
 
     def to_json(self) -> str:
-        doc = {
-            "n": self.n,
-            "d": self.d,
-            "samples": self.samples,
-            "seed": self.seed,
-            "n2_count": self.n2_count,
-            "max_reg": self.max_reg,
-            "bound": self.bound,
-            "best": [str(g) for g in self.best.gens] if self.best else None,
-            "tight": self.max_reg == self.bound,
-        }
-        return json.dumps(doc, sort_keys=True)
+        return report_json(self, tight=self.max_reg == self.bound)
 
 
 def _colex_mask(rank: int, n: int, d: int) -> int:
@@ -547,6 +512,7 @@ def open_case_search(
     _check_ambient(n)
     _check_n_d(n, d)
     _check_int("samples", samples, 0)
+    _check_field(field)
     count = math.comb(n, d)
     bound = theorem_bound(n, d)
     rng = random.Random(seed)

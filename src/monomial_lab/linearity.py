@@ -114,15 +114,19 @@ class GenGraph:
     adjacency: tuple[int, ...]  # row bitmasks over generator indices
 
     def has_edge(self, a: int, b: int) -> bool:
+        _check_indices(self, a, b)
         return bool(self.adjacency[a] >> b & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for a in range(len(self.adjacency)):
-            for b in range(a + 1, len(self.adjacency)):
-                if self.has_edge(a, b):
-                    out.append((a, b))
-        return out
+        adj = self.adjacency
+        return [(a, b) for a in range(len(adj)) for b in range(a + 1, len(adj)) if adj[a] >> b & 1]
+
+
+def _check_indices(G: GenGraph, *indices) -> None:
+    """Each index is an int (`_is_int`) naming a generator of G."""
+    r = len(G.adjacency)
+    if not all(_is_int(i) and 0 <= i < r for i in indices):
+        raise InputError(f"generator index out of range 0..{r - 1}")
 
 
 @dataclass(frozen=True)
@@ -148,17 +152,15 @@ def generator_graph(I: Ideal) -> GenGraph:
 
 
 def lcm_induced_subgraph(G: GenGraph, u: int, v: int) -> LcmSubgraph:
-    r = len(G.adjacency)
-    if not (_is_int(u) and _is_int(v) and 0 <= u < r and 0 <= v < r):
-        raise InputError(f"generator index out of range 0..{r - 1}")
+    _check_indices(G, u, v)
     gens = G.ideal.gen_masks
     big = gens[u] | gens[v]
-    vertices = tuple(i for i in range(r) if gens[i] & ~big == 0)
+    vertices = tuple(i for i, g in enumerate(gens) if g & ~big == 0)
     edges = tuple(
         (a, b)
         for ai, a in enumerate(vertices)
         for b in vertices[ai + 1:]
-        if G.has_edge(a, b)
+        if G.adjacency[a] >> b & 1
     )
     return LcmSubgraph(G, u, v, vertices, edges)
 

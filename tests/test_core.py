@@ -36,10 +36,26 @@ from monomial_lab.core import (
     minimalize_masks,
     parse_ideal,
     restriction,
+    to_json,
     truncation,
 )
-from monomial_lab.bounds import f_bound, faltings_bound, g_bound, sharp_example, theorem_bound
-from monomial_lab.complexes import FieldSpec, SimplicialComplex, restrict_complex
+from monomial_lab.betti import betti_table, projective_dimension, regularity
+from monomial_lab.bounds import (
+    check_corollary1,
+    check_theorem1,
+    f_bound,
+    faltings_bound,
+    g_bound,
+    sharp_example,
+    theorem_bound,
+)
+from monomial_lab.complexes import (
+    FieldSpec,
+    SimplicialComplex,
+    reduced_homology_dims,
+    restrict_complex,
+)
+from monomial_lab.duality import cohomological_dimension
 from monomial_lab.harness import gcd_lemma_sweep, open_case_search, verify_range
 from monomial_lab.linearity import generator_graph, is_Nk_betti, lcm_induced_subgraph
 
@@ -477,6 +493,8 @@ class TestTextFormat:
             assert parse_ideal(format_ideal(I)) == I
 
 
+PATH3 = ideal(4, (1, 2), (2, 3), (3, 4))
+
 # Each check named in the integer rule, called with a bool where it takes an int.
 INT_CHECKS = {
     "ambient": lambda b: Ideal(b),
@@ -513,15 +531,21 @@ INT_CHECKS = {
         generator_graph(ideal(3, (1, 2), (2, 3))), 0, b),
     "sharp-n": lambda b: sharp_example(b, 3),
     "sharp-d": lambda b: sharp_example(9, b),
+    "has-edge-a": lambda b: generator_graph(ideal(3, (1, 2), (2, 3))).has_edge(b, 0),
+    "has-edge-b": lambda b: generator_graph(ideal(3, (1, 2), (2, 3))).has_edge(0, b),
 }
 
-# Floats where an int is taken, and a negative mask as a vertex subset.
+# Floats where an int is taken, a negative mask as a vertex subset, and
+# generator indices outside a 3-generator graph.
 NON_INTS = {
     "f-float-n": lambda: f_bound(7.5, 3),
     "nk-float-k": lambda: is_Nk_betti(ideal(3, (1, 2), (2, 3)), 1.5),
     "sharp-floats": lambda: sharp_example(9.0, 3.0),
     "restriction-negative-mask": lambda: restriction(ideal(3, (1,), (2, 3)), -1),
     "restriction-float": lambda: restriction(ideal(3, (1,), (2, 3)), 1.5),
+    "has-edge-negative-a": lambda: generator_graph(PATH3).has_edge(-1, 0),
+    "has-edge-negative-b": lambda: generator_graph(PATH3).has_edge(0, -1),
+    "has-edge-past-the-end": lambda: generator_graph(PATH3).has_edge(5, 0),
 }
 
 
@@ -558,4 +582,63 @@ class TestIntegerRule:
                     names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
                     if any(isinstance(k, ast.Name) and k.id == "int" for k in names):
                         offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+
+
+# Every public entry point that takes a field, called with `field`; the path
+# ideal is linearly presented and its quotient is S2, so each call reaches
+# the field.
+FIELD_CALLS = {
+    "regularity": lambda field: regularity(PATH3, field),
+    "projective-dimension": lambda field: projective_dimension(PATH3, field),
+    "betti-table": lambda field: betti_table(PATH3, field),
+    "cohomological-dimension": lambda field: cohomological_dimension(PATH3, field),
+    "nk-betti": lambda field: is_Nk_betti(PATH3, 2, field),
+    "check-theorem1": lambda field: check_theorem1(PATH3, field),
+    "check-corollary1": lambda field: check_corollary1(PATH3, field),
+    "verify-range": lambda field: verify_range(4, 2, field),
+    "open-case-search": lambda field: open_case_search(4, 2, samples=0, field=field),
+    "reduced-homology": lambda field: reduced_homology_dims(SimplicialComplex(3, (3, 6)), field),
+    "reduced-homology-void": lambda field: reduced_homology_dims(SimplicialComplex(3), field),
+}
+
+
+@pytest.mark.parametrize("field", ["q", 3, None, True])
+@pytest.mark.parametrize("call", FIELD_CALLS.values(), ids=FIELD_CALLS.keys())
+def test_field_must_be_a_fieldspec(call, field):
+    with pytest.raises(InputError, match=f"field must be a FieldSpec, got {field!r}"):
+        call(field)
+
+
+class TestJson:
+    def test_ideals_and_monomials_as_generator_strings(self):
+        I = ideal(4, (1, 2), (2, 3, 4))
+        doc = {"b": I, "a": [mono(4, 1, 3), Ideal(4)], "c": (None, 1.5)}
+        assert to_json(doc) == '{"a": ["x1*x3", []], "b": ["x1*x2", "x2*x3*x4"], "c": [null, 1.5]}'
+
+    @pytest.mark.parametrize("obj", [FieldSpec(2), {1, 2}, object(), b"x1", UNIT_IDEAL])
+    def test_other_objects_are_refused(self, obj):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            to_json({"x": [obj]})
+
+    def test_to_json_is_the_only_writer(self):
+        """No module of the package calls json.dump or json.dumps outside
+        `core.to_json`, or imports either name from json."""
+        offenders = []
+        for path in sorted(pathlib.Path(monomial_lab.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            allowed = set()
+            if path.name == "core.py":
+                allowed = {id(node) for fn in tree.body
+                           if isinstance(fn, ast.FunctionDef) and fn.name == "to_json"
+                           for node in ast.walk(fn)}
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("dump", "dumps")
+                        and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                        and id(node) not in allowed):
+                    offenders.append(f"{path.name}:{node.lineno}")
+                if (isinstance(node, ast.ImportFrom) and node.module == "json"
+                        and any(a.name in ("dump", "dumps") for a in node.names)):
+                    offenders.append(f"{path.name}:{node.lineno}")
         assert offenders == []
