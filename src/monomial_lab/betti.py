@@ -29,7 +29,10 @@ of their degrees, where the scan starts; any other saturated sigma has
 ideal index i >= 1, so it lies on row |sigma| - i <= |sigma| - 1 and at
 quotient index i + 1 <= |sigma|.  Hence regularity skips sigma with
 |sigma| - 1 <= the best row so far, and projective dimension skips
-|sigma| <= the best index.
+|sigma| <= the best index.  `_support_regularity` scans sigma = the
+support alone, by the same per-sigma rule (`_sigma_max`), for the
+exhaustive campaigns that read every smaller sigma off the ideal's
+one-vertex restrictions (see `harness`).
 
 The scan also computes only the homology that can raise the best value.
 Profile index idx holds dim H~_{idx-1}, the homology carried by the faces
@@ -64,7 +67,7 @@ from .complexes import (
     _boundary_ranks,
     _remap,
 )
-from .core import Ideal, InputError, MaskIndex, canon_key, mask_to_vars, to_json
+from .core import Ideal, InputError, MaskIndex, _check_ideal, canon_key, mask_to_vars, to_json
 
 
 def _saturated_sigmas(gen_masks, supp: int, floor=(0,)):
@@ -96,6 +99,28 @@ def _saturated_sigmas(gen_masks, supp: int, floor=(0,)):
         sigma = (sigma - 1) & supp
 
 
+def _band(m: int, best: int, value):
+    """The band of size m: the first and last idx <= m - 2 with
+    value(m, idx) > best, or None when there is none."""
+    live = [idx for idx in range(m - 1) if value(m, idx) > best]
+    return (live[0], live[-1]) if live else None
+
+
+def _sigma_max(m: int, local, field: FieldSpec, best: int, value, band) -> int:
+    """Largest of best and value(m, idx) over the nonzero slots of one
+    saturated sigma (relabelled generators `local`) in its band (lo, hi).
+    Only the boundary maps of the band are reduced; over Q the GF(2)
+    dimensions are read, and a hit that would raise best is confirmed over
+    Q before it does."""
+    lo, hi = band
+    h = _boundary_ranks(m, local, field.p or 2, lo, hi + 1)[2]
+    for idx in range(lo, hi + 1):
+        v = value(m, idx) if h[idx] else 0
+        if v > best and (field.p or exact_rational_hq(m, local, idx - 1)):
+            best = v
+    return best
+
+
 def _scan_max(gens, field: FieldSpec, best: int, value) -> int:
     """Largest value(m, idx) over the nonzero Betti slots of S/I, or `best`
     when none exceeds it; `gens` may come in any order.
@@ -103,11 +128,9 @@ def _scan_max(gens, field: FieldSpec, best: int, value) -> int:
     A slot is a saturated sigma, m = |sigma|, and a profile index idx <= m - 2
     (dim H~_{idx-1}, quotient index m - idx >= 2); `value` scores it, 0 for a
     slot that does not count, and its maximum over idx must not fall as m
-    grows.  For each m the band is the range of idx with value(m, idx) >
-    best, and only the boundary maps of that band are reduced; the bands
+    grows.  Each sigma is scanned in its band (`_sigma_max`); the bands
     are recomputed when best rises, and the walk skips every sigma whose
-    band is empty.  Over Q the walk reads GF(2) dimensions, and a hit that
-    would raise best is confirmed over Q before it does.
+    band is empty.
     """
     _check_field(field)
     # in canonical order the relabelled generators come out canonical too,
@@ -117,14 +140,9 @@ def _scan_max(gens, field: FieldSpec, best: int, value) -> int:
     for g in gens:
         supp |= g
     top = supp.bit_count()
-    p = field.p or 2
 
     def bands():
-        out = []
-        for m in range(top + 1):
-            live = [idx for idx in range(m - 1) if value(m, idx) > best]
-            out.append((live[0], live[-1]) if live else None)
-        return out
+        return [_band(m, best, value) for m in range(top + 1)]
 
     band = bands()
     if band[top] is None:
@@ -132,18 +150,34 @@ def _scan_max(gens, field: FieldSpec, best: int, value) -> int:
     # the empty bands come first: the smallest sigma that can beat best
     floor = [sum(b is None for b in band)]
     for _, m, local in _saturated_sigmas(gens, supp, floor):
-        lo, hi = band[m]
-        h = _boundary_ranks(m, local, p, lo, hi + 1)[2]
-        for idx in range(lo, hi + 1):
-            v = value(m, idx) if h[idx] else 0
-            if v <= best or not (field.p or exact_rational_hq(m, local, idx - 1)):
-                continue
-            best = v
+        raised = _sigma_max(m, local, field, best, value, band[m])
+        if raised > best:
+            best = raised
             band = bands()
             if band[top] is None:
                 return best
             floor[0] = sum(b is None for b in band)
     return best
+
+
+def _reg_row(m: int, idx: int) -> int:
+    # row 0 sits at the generator degrees; a slot of H~_{idx-1} lies on row idx + 1
+    return idx + 1
+
+
+def _support_regularity(gens, field: FieldSpec, best: int) -> int:
+    """Largest of best and the rows of the Betti slots of S/I at sigma =
+    supp(gens) alone, the one slot set no one-vertex restriction of the
+    ideal holds.  `gens` come in canonical order, so the relabelled ones
+    do too and equal local complexes share one cache entry."""
+    supp = 0
+    for g in gens:
+        supp |= g
+    band = _band(supp.bit_count(), best, _reg_row)
+    if band is None:
+        return best
+    m, local = _remap(supp, gens)
+    return _sigma_max(m, local, field, best, _reg_row, band)
 
 
 @dataclass
@@ -222,6 +256,7 @@ def betti_table(
     quotient: bool = False,
 ) -> BettiTable:
     """Exact Betti table of the ideal I (or of S/I with quotient=True)."""
+    _check_ideal(I)
     _check_field(field)
     if I.is_zero:
         raise InputError("Betti table of the zero ideal is undefined")
@@ -247,12 +282,12 @@ def betti_table(
 def regularity_masks(gens: tuple[int, ...], field: FieldSpec = RATIONALS) -> int:
     """Mask-level regularity; `gens` must be a nonempty minimal generating
     set (antichain of bitmasks), in any order."""
-    # row 0 sits at the generator degrees; a slot of H~_{idx-1} lies on row idx + 1
-    return _scan_max(gens, field, max(g.bit_count() for g in gens), lambda m, idx: idx + 1)
+    return _scan_max(gens, field, max(g.bit_count() for g in gens), _reg_row)
 
 
 def regularity(I: Ideal, field: FieldSpec = RATIONALS) -> int:
     """max{j - i : the ideal's Betti table is nonzero at (i, j)}, exact."""
+    _check_ideal(I)
     if I.is_zero:
         raise InputError("regularity of the zero ideal is undefined")
     return regularity_masks(I.gen_masks, field)
@@ -266,6 +301,7 @@ def projective_dimension_masks(gens: tuple[int, ...], field: FieldSpec = RATIONA
 
 def projective_dimension(I: Ideal, field: FieldSpec = RATIONALS) -> int:
     """max{i : the quotient's Betti table is nonzero at (i, j)}, exact."""
+    _check_ideal(I)
     if I.is_zero:
         raise InputError("projective dimension of S/0 is undefined here")
     return projective_dimension_masks(I.gen_masks, field)

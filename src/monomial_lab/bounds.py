@@ -23,6 +23,7 @@ from .core import (
     InputError,
     InternalCheckError,
     PreconditionError,
+    _check_ideal,
     _check_int,
     report_json,
     truncation,
@@ -133,6 +134,7 @@ def check_theorem1(I: Ideal, field: FieldSpec = RATIONALS, use_support: bool = F
     default; use_support=True restricts to the support count (valid by
     restriction, and sharper).  Both appear in the report either way.
     """
+    _check_ideal(I)
     if I.is_zero:
         raise InputError("zero ideal")
     d = I.pure_degree()
@@ -153,6 +155,7 @@ def check_corollary1(I: Ideal, field: FieldSpec = RATIONALS, use_support: bool =
     bounded by max(c, f(n, c)) with c the height; g(n, c) is included for
     the comparison with the weaker floor-pair bound.
     """
+    _check_ideal(I)
     if I.is_zero:
         raise InputError("zero ideal")
     ok, c = is_S2(I)

@@ -57,7 +57,8 @@ import functools
 from dataclasses import dataclass
 
 from .core import (CapacityError, InputError, InternalCheckError, Ideal, canon_key,
-                   mask_to_vars, minimalize_masks, _is_int, _subset_mask, _vars_to_mask)
+                   mask_to_vars, minimalize_masks, _check_ideal, _is_int, _subset_mask,
+                   _vars_to_mask)
 from .exact_rank import rank_bareiss, rank_f2_columns, rank_mod_p
 from .transversals import minimal_transversals
 
@@ -202,6 +203,7 @@ def alexander_dual(I: Ideal) -> Ideal:
     The last dual built is kept, so a repeat request for the same ideal
     returns the same (immutable) object.
     """
+    _check_ideal(I)
     if I.is_zero:
         raise InputError("the zero ideal has no Alexander dual here")
     return _dual_of(I.ambient, I.gen_masks)
@@ -214,6 +216,7 @@ def stanley_reisner(I: Ideal) -> SimplicialComplex:
     transversals of the generator supports), so no face enumeration is
     needed.  The zero ideal gives the full simplex.
     """
+    _check_ideal(I)
     full = (1 << I.ambient) - 1
     if I.is_zero:
         return SimplicialComplex(I.ambient, (full,))

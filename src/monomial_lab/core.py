@@ -306,6 +306,12 @@ class Ideal:
         return f"Ideal({self.ambient}, {self})"
 
 
+def _check_ideal(I) -> None:
+    """`I` is an Ideal: the ideal check of every public entry point."""
+    if not isinstance(I, Ideal):
+        raise InputError(f"ideal must be an Ideal, got {I!r}")
+
+
 def minimal_generators(monomials, ambient: int | None = None) -> Ideal:
     """Canonicalize an arbitrary generator list into a minimal generating set."""
     monomials = list(monomials)
@@ -336,6 +342,7 @@ def _subset_mask(ambient: int, subset) -> int:
 def restriction(I: Ideal, U) -> Ideal:
     """Sub-ideal of generators supported inside the variable subset U: an
     int mask inside the ambient, or an iterable of 1-based variable indices."""
+    _check_ideal(I)
     umask = _subset_mask(I.ambient, U)
     return Ideal(I.ambient, tuple(g for g in I.gens if g.mask & ~umask == 0))
 
@@ -349,6 +356,7 @@ def localize(I: Ideal, f: Monomial):
     component would contain 1; that case returns UNIT_IDEAL there and
     callers must branch on it.
     """
+    _check_ideal(I)
     if f.mask == 0:
         raise InputError("cannot localize at 1")
     _same_ambient(f, I)
@@ -364,6 +372,7 @@ def localize(I: Ideal, f: Monomial):
 
 def truncation(I: Ideal, d: int) -> Ideal:
     """Ideal generated by all squarefree degree-d monomials lying in I."""
+    _check_ideal(I)
     _check_int("truncation degree", d, 1)
     if d > I.ambient:
         raise InputError(f"truncation degree {d} exceeds ambient {I.ambient}")
@@ -387,11 +396,15 @@ def squarefree_multiples(mask: int, n: int, d: int) -> tuple[int, ...]:
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
+    _check_ideal(I)
+    _check_ideal(J)
     _same_ambient(I, J)
     return Ideal.from_masks(I.ambient, minimalize_masks(I.gen_masks + J.gen_masks))
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
+    _check_ideal(I)
+    _check_ideal(J)
     _same_ambient(I, J)
     if I.is_zero or J.is_zero:
         return Ideal(I.ambient)
@@ -467,6 +480,7 @@ def parse_ideal(text: str) -> Ideal:
 
 
 def format_ideal(I: Ideal) -> str:
+    _check_ideal(I)
     lines = [f"ambient {I.ambient}"]
     lines.extend(str(g) for g in I.gens)
     return "\n".join(lines) + "\n"

@@ -7,6 +7,29 @@ subset space in increasing index order, optionally in parallel over
 contiguous chunks; chunk boundaries are independent of the worker count
 and partial results merge in index order, so summaries are deterministic.
 Long runs persist a resumable JSON checkpoint.
+
+An exhaustive campaign settles each ideal from its one-vertex
+restrictions.  For a vertex v of the support, the restriction I_{supp-v}
+(the generators avoiding v) has the subset index `index & avoiding[v]`,
+smaller than the ideal's own.  The value of an index is reg(I) if I is
+linearly presented and 0 if not, and a chunk keeps the values it has
+computed in a dict that it drops when it returns.  The recurrence is
+
+    I linearly presented  <=>  every I_{supp-v} is, and, if |supp| <= 2d,
+                               the connectivity criterion passes on I
+    reg(I) = max(d, reg(I_{supp-v}) over v, the slots of sigma = supp)
+
+Both lines are exact because of the restriction lemma: the fine Betti
+numbers of I at a vertex subset sigma depend only on the generators inside
+sigma (Hochster's formula), so at every sigma missing a vertex v of the
+support they are those of I_{supp-v} (Herzog, Hibi, Trung and Zheng, Trans.
+AMS 2008).  Every sigma but the support itself misses some vertex, so only
+the support is scanned here (`betti._support_regularity`).  Likewise the
+lcm subgraph of a generator pair depends only on the generators dividing
+the lcm.  So a pair whose lcm misses a vertex v is tested in I_{supp-v},
+and only pairs whose lcm is the whole support are left.  The lcm of two
+degree-d generators has at most 2d vertices, so such pairs exist only when
+|supp| <= 2d.
 """
 
 from __future__ import annotations
@@ -23,7 +46,7 @@ import time
 from dataclasses import dataclass
 from multiprocessing import get_context
 
-from .betti import regularity_masks
+from .betti import _support_regularity, regularity_masks
 from .bounds import theorem_bound
 from .complexes import RATIONALS, FieldSpec, _check_field
 from .core import (
@@ -156,13 +179,55 @@ class EnumerationSummary:
         return report_json(self, violations=[{"gens": I, "reg": reg} for I, reg in self.violations])
 
 
+def _avoiding(n: int, monomials: tuple[int, ...]) -> list[int]:
+    """For each vertex v, the subset index of the monomials avoiding v: the
+    index of an ideal's restriction to the vertices but v is its index
+    ANDed with it."""
+    return [sum(1 << i for i, m in enumerate(monomials) if not m >> v & 1) for v in range(n)]
+
+
+def _linear_reg(index: int, memo: dict, monomials: tuple[int, ...], avoiding: list[int],
+                d: int, field: FieldSpec) -> int:
+    """reg of the ideal at subset `index` if it is linearly presented, else
+    0, by recursion over its one-vertex restrictions, each read from or
+    written to `memo` (seeded with {0: d}, the zero ideal adding nothing).
+
+    The ideal is linearly presented when its restrictions are and, if
+    |supp| <= 2d, the connectivity criterion passes on it; its regularity
+    is the largest of d, its restrictions' values and the slots of sigma =
+    supp (see the module docstring)."""
+    gens = _subset_gens(monomials, index)  # canonical: increasing masks of one degree
+    supp = 0
+    for g in gens:
+        supp |= g
+    best = d
+    rest = supp
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        below = index & avoiding[low.bit_length() - 1]
+        value = memo.get(below)
+        if value is None:
+            value = _linear_reg(below, memo, monomials, avoiding, d, field)
+        if not value:
+            break
+        best = max(best, value)
+    else:
+        linear = supp.bit_count() > 2 * d or n2_verdict_masks(gens, d)[0]
+        value = _support_regularity(gens, field, best) if linear else 0
+    memo[index] = value
+    return value
+
+
 def _verify_chunk(task):
     n, d, fieldp, start, end, bound, symmetry = task
     monomials = degree_monomial_masks(n, d)
+    avoiding = _avoiding(n, monomials)
     field = FieldSpec(fieldp)
     # each orbit's least index is checked once and counted for its orbit;
     # under "off" the group is the identity alone
     perms = _index_perms(n, d) if symmetry == "orbits" else ()
+    memo = {0: d}  # per chunk, so no chunk's work depends on another's
     checked = 0
     n2_count = 0
     max_reg = -1
@@ -173,12 +238,11 @@ def _verify_chunk(task):
         if not weight:
             continue
         checked += weight
-        gens = _subset_gens(monomials, index)
-        ok, _ = n2_verdict_masks(gens, d)
-        if not ok:
+        # restrictions have smaller indices, so `index` is not in the memo yet
+        reg = _linear_reg(index, memo, monomials, avoiding, d, field)
+        if not reg:
             continue
         n2_count += weight
-        reg = regularity_masks(gens, field)
         if reg > max_reg:
             max_reg = reg
             extremal = [index]
@@ -283,7 +347,14 @@ def verify_range(
 
     Every enumerated ideal passing the connectivity criterion gets its
     regularity computed and compared against max(d, f(n, d)) at the
-    ambient n.  The summary (including the extremal ideals and any
+    ambient n.  Both come from the ideal's one-vertex restrictions, which
+    each chunk memoizes (module docstring): the ideal is linearly presented
+    when all of them are and, if |supp| <= 2d, the criterion passes on it,
+    and its regularity is the largest of d, theirs, and the Betti slots of
+    the support alone.  That is exact by the restriction lemma (the Betti
+    numbers at a vertex subset missing v are those of the restriction to
+    supp - v), and because a generator pair's lcm is the whole support only
+    when |supp| <= 2d.  The summary (including the extremal ideals and any
     violations) is byte-identical for any worker count and for
     checkpointed-and-resumed runs.  With symmetry="orbits" (n <= 7), only
     the least subset index of each orbit under the variable permutations is
@@ -295,6 +366,7 @@ def verify_range(
     normally or by an error (a failed checkpoint write, say), so queued
     chunks are never waited for.
     """
+    monomials = _capacity_checked(n, d)
     if symmetry not in ("off", "orbits"):
         raise InputError(f"symmetry must be off|orbits, got {symmetry!r}")
     if symmetry == "orbits" and n > 7:
@@ -302,7 +374,6 @@ def verify_range(
     _check_field(field)
     _check_int("jobs", jobs, 1)
     _check_int("chunk_size", chunk_size, 1)
-    monomials = _capacity_checked(n, d)
     total = (1 << len(monomials)) - 1
     bound = theorem_bound(n, d)
     t0 = time.monotonic()

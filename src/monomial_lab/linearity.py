@@ -24,6 +24,7 @@ from .core import (
     Monomial,
     PreconditionError,
     TheoremViolationError,
+    _check_ideal,
     _check_int,
     _is_int,
     _same_ambient,
@@ -32,6 +33,7 @@ from .core import (
 
 
 def _pure_degree_checked(I: Ideal) -> int:
+    _check_ideal(I)
     if I.is_zero:
         raise InputError("the zero ideal has no generator degree")
     d = I.pure_degree()

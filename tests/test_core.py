@@ -3,6 +3,7 @@
 import ast
 import pathlib
 import random
+import re
 
 import pytest
 from oracles import (
@@ -52,12 +53,20 @@ from monomial_lab.bounds import (
 from monomial_lab.complexes import (
     FieldSpec,
     SimplicialComplex,
+    alexander_dual,
     reduced_homology_dims,
     restrict_complex,
+    stanley_reisner,
 )
-from monomial_lab.duality import cohomological_dimension
+from monomial_lab.duality import cohomological_dimension, height_profile, is_S2
 from monomial_lab.harness import gcd_lemma_sweep, open_case_search, verify_range
-from monomial_lab.linearity import generator_graph, is_Nk_betti, lcm_induced_subgraph
+from monomial_lab.linearity import (
+    gcd_witness,
+    generator_graph,
+    is_N2_graph,
+    is_Nk_betti,
+    lcm_induced_subgraph,
+)
 
 
 def mono(n, *vs):
@@ -535,8 +544,9 @@ INT_CHECKS = {
     "has-edge-b": lambda b: generator_graph(ideal(3, (1, 2), (2, 3))).has_edge(0, b),
 }
 
-# Floats where an int is taken, a negative mask as a vertex subset, and
-# generator indices outside a 3-generator graph.
+# Floats where an int is taken, a negative mask as a vertex subset,
+# generator indices outside a 3-generator graph, and an n that is not an
+# int under symmetry reduction, which compares n with its limit.
 NON_INTS = {
     "f-float-n": lambda: f_bound(7.5, 3),
     "nk-float-k": lambda: is_Nk_betti(ideal(3, (1, 2), (2, 3)), 1.5),
@@ -546,6 +556,8 @@ NON_INTS = {
     "has-edge-negative-a": lambda: generator_graph(PATH3).has_edge(-1, 0),
     "has-edge-negative-b": lambda: generator_graph(PATH3).has_edge(0, -1),
     "has-edge-past-the-end": lambda: generator_graph(PATH3).has_edge(5, 0),
+    "verify-orbits-str-n": lambda: verify_range("6", 2, symmetry="orbits"),
+    "verify-orbits-none-n": lambda: verify_range(None, 2, symmetry="orbits"),
 }
 
 
@@ -608,6 +620,41 @@ FIELD_CALLS = {
 def test_field_must_be_a_fieldspec(call, field):
     with pytest.raises(InputError, match=f"field must be a FieldSpec, got {field!r}"):
         call(field)
+
+
+# Every public entry point that takes an ideal, called with `bad` in its
+# place; the other arguments are valid.
+IDEAL_CALLS = {
+    "regularity": lambda bad: regularity(bad),
+    "projective-dimension": lambda bad: projective_dimension(bad),
+    "betti-table": lambda bad: betti_table(bad),
+    "check-theorem1": lambda bad: check_theorem1(bad),
+    "check-corollary1": lambda bad: check_corollary1(bad),
+    "alexander-dual": lambda bad: alexander_dual(bad),
+    "stanley-reisner": lambda bad: stanley_reisner(bad),
+    "height-profile": lambda bad: height_profile(bad),
+    "is-s2": lambda bad: is_S2(bad),
+    "cohomological-dimension": lambda bad: cohomological_dimension(bad),
+    "generator-graph": lambda bad: generator_graph(bad),
+    "is-n2-graph": lambda bad: is_N2_graph(bad),
+    "nk-betti": lambda bad: is_Nk_betti(bad, 2),
+    "gcd-witness": lambda bad: gcd_witness(bad, mono(4, 1, 2)),
+    "restriction": lambda bad: restriction(bad, 3),
+    "localize": lambda bad: localize(bad, mono(4, 1)),
+    "truncation": lambda bad: truncation(bad, 2),
+    "sum-left": lambda bad: ideal_sum(bad, PATH3),
+    "sum-right": lambda bad: ideal_sum(PATH3, bad),
+    "intersection-left": lambda bad: ideal_intersection(bad, PATH3),
+    "intersection-right": lambda bad: ideal_intersection(PATH3, bad),
+    "format": lambda bad: format_ideal(bad),
+}
+
+
+@pytest.mark.parametrize("bad", ["x1", None, UNIT_IDEAL, Monomial.of(4, 1, 2)])
+@pytest.mark.parametrize("call", IDEAL_CALLS.values(), ids=IDEAL_CALLS.keys())
+def test_ideal_must_be_an_ideal(call, bad):
+    with pytest.raises(InputError, match=re.escape(f"ideal must be an Ideal, got {bad!r}")):
+        call(bad)
 
 
 class TestJson:

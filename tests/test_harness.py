@@ -16,8 +16,8 @@ import pytest
 from oracles import oracle_canonical_subset_index, oracle_index_group, oracle_orbit_size
 
 import monomial_lab
-from monomial_lab.betti import regularity
-from monomial_lab.complexes import GF2, RATIONALS
+from monomial_lab.betti import regularity, regularity_masks
+from monomial_lab.complexes import GF2, RATIONALS, FieldSpec
 from monomial_lab.core import CapacityError, Ideal, InputError, Monomial
 from monomial_lab import harness
 from monomial_lab.harness import (
@@ -28,10 +28,13 @@ from monomial_lab.harness import (
     open_case_search,
     remark_example,
     verify_range,
+    _avoiding,
     _index_perms,
+    _linear_reg,
     _orbit_size,
+    _subset_gens,
 )
-from monomial_lab.linearity import is_N2_graph, is_Nk_betti
+from monomial_lab.linearity import is_N2_graph, is_Nk_betti, n2_verdict_masks
 
 
 class TestEnumeration:
@@ -59,7 +62,8 @@ class TestEnumeration:
             assert I.pure_degree() == 2  # constructor enforces the antichain
 
 
-# sha256 of verify_range(n, d, symmetry=..., chunk_size=1000).to_json()
+# sha256 of verify_range(n, d, symmetry=..., chunk_size=1000).to_json(); the
+# (6, 2) "off" digest is also the benchmark campaign's golden summary
 SUMMARY_SHA256 = [
     (4, 2, "off", "9b59b6a1cfaf392598a59a9bd50f8b0a784a106b20bd64811a4a957fb322e9c8"),
     (4, 2, "orbits", "178ea25df851d60a4bb1e8d0f3c0ca8ccfc86eeb2f4e5916b8c7b6f028b9aa52"),
@@ -69,7 +73,49 @@ SUMMARY_SHA256 = [
     (5, 3, "orbits", "50ee26fb6ed39813c598dacfb211b751c2680bc778785dabff5659734b9209e9"),
     (4, 3, "off", "2f000854f10ea475c70bd8a584b231c17cc50df52ae1147ce976fe72ff6ee073"),
     (4, 3, "orbits", "fbf47b921842043d5440125bd0f2dac28ecc4c35c6384462b36b9cebe0687f7f"),
+    (6, 2, "off", "1c33484d7498c87a19e7990dc3acc8a8ff45f9ac90a06bbc9b5101e12f2d9582"),
+    (6, 2, "orbits", "67e892bcae970079ecbf6ca5a769085e884539cd24eb9d5b1b6b2d49ac07a9a7"),
 ]
+PINNED = {(n, d, symmetry): digest for n, d, symmetry, digest in SUMMARY_SHA256}
+
+
+FIELDS = [RATIONALS, GF2, FieldSpec(3)]
+
+
+class TestRestrictionRecursion:
+    """`_linear_reg`, the memoized recursion of `verify_range`, against the
+    per-ideal connectivity criterion and regularity scan."""
+
+    @staticmethod
+    def expected(gens, d, field):
+        return regularity_masks(gens, field) if n2_verdict_masks(gens, d)[0] else 0
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (4, 3), (5, 3)])
+    def test_every_index(self, n, d, field):
+        monomials = degree_monomial_masks(n, d)
+        avoiding = _avoiding(n, monomials)
+        memo = {0: d}
+        for index in range(1, 1 << len(monomials)):
+            got = _linear_reg(index, memo, monomials, avoiding, d, field)
+            assert got == self.expected(_subset_gens(monomials, index), d, field), index
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("n,d", [(6, 3), (7, 2), (6, 4)])
+    def test_seeded_indices(self, n, d, field):
+        monomials = degree_monomial_masks(n, d)
+        avoiding = _avoiding(n, monomials)
+        memo = {0: d}
+        rng = random.Random(f"{n}/{d}")
+        linear = 0
+        for _ in range(500):
+            index = rng.randrange(1, 1 << len(monomials))
+            got = memo.get(index)
+            if got is None:
+                got = _linear_reg(index, memo, monomials, avoiding, d, field)
+            assert got == self.expected(_subset_gens(monomials, index), d, field), index
+            linear += got > 0
+        assert linear  # the regularity side is exercised too
 
 
 class TestVerifyRange:
@@ -396,8 +442,7 @@ class TestVerifyRange:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_orbits_6_2_summary_pinned(self, jobs):
         got = verify_range(6, 2, jobs=jobs, symmetry="orbits", chunk_size=1000).to_json()
-        assert hashlib.sha256(got.encode()).hexdigest() == (
-            "67e892bcae970079ecbf6ca5a769085e884539cd24eb9d5b1b6b2d49ac07a9a7")
+        assert hashlib.sha256(got.encode()).hexdigest() == PINNED[6, 2, "orbits"]
 
     @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (5, 3), (4, 3)])
     def test_orbits_against_off(self, n, d):
@@ -469,8 +514,7 @@ class TestOrbitsCampaign:
         runs = [self.run(tmp_path, f"jobs{jobs}", jobs) for jobs in (1, 2, 3)]
         assert runs[0] == runs[1] == runs[2]
         summary, stream, _ = runs[0]
-        pinned = {(n, d, mode): digest for n, d, mode, digest in SUMMARY_SHA256}
-        assert hashlib.sha256(summary.encode()).hexdigest() == pinned[5, 2, "orbits"]
+        assert hashlib.sha256(summary.encode()).hexdigest() == PINNED[5, 2, "orbits"]
         records = [json.loads(line) for line in stream.splitlines()]
         pentagons = [r["index"] for r in records if r["type"] == "violation"]
         assert len(pentagons) == 12 and pentagons == sorted(pentagons)
