@@ -30,9 +30,9 @@ ideal index i >= 1, so it lies on row |sigma| - i <= |sigma| - 1 and at
 quotient index i + 1 <= |sigma|.  Hence regularity skips sigma with
 |sigma| - 1 <= the best row so far, and projective dimension skips
 |sigma| <= the best index.  `_support_regularity` scans sigma = the
-support alone, by the same per-sigma rule (`_sigma_max`), for the
-exhaustive campaigns that read every smaller sigma off the ideal's
-one-vertex restrictions (see `harness`).
+support alone, relabelled by its caller, by the same per-sigma rule
+(`_sigma_max`), for the exhaustive campaigns that read every smaller sigma
+off the ideal's one-vertex restrictions (see `harness`).
 
 The scan also computes only the homology that can raise the best value.
 Profile index idx holds dim H~_{idx-1}, the homology carried by the faces
@@ -165,18 +165,18 @@ def _reg_row(m: int, idx: int) -> int:
     return idx + 1
 
 
-def _support_regularity(gens, field: FieldSpec, best: int) -> int:
+def _support_regularity(m: int, local, field: FieldSpec, best: int) -> int:
     """Largest of best and the rows of the Betti slots of S/I at sigma =
-    supp(gens) alone, the one slot set no one-vertex restriction of the
-    ideal holds.  `gens` come in canonical order, so the relabelled ones
-    do too and equal local complexes share one cache entry."""
-    supp = 0
-    for g in gens:
-        supp |= g
-    band = _band(supp.bit_count(), best, _reg_row)
+    supp(I) alone, the one slot set no one-vertex restriction of the ideal
+    holds.  `local` holds the generators with the support relabelled onto
+    0..m-1, in canonical order.  Any relabelling will do: another one gives
+    an isomorphic complex, with the same homology over every field, and
+    changes only the cache key.  So the caller relabels by vertex degree,
+    and ideals that differ by a relabelling of that kind share one cache
+    entry (see `harness`)."""
+    band = _band(m, best, _reg_row)
     if band is None:
         return best
-    m, local = _remap(supp, gens)
     return _sigma_max(m, local, field, best, _reg_row, band)
 
 

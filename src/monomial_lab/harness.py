@@ -12,8 +12,7 @@ An exhaustive campaign settles each ideal from its one-vertex
 restrictions.  For a vertex v of the support, the restriction I_{supp-v}
 (the generators avoiding v) has the subset index `index & avoiding[v]`,
 smaller than the ideal's own.  The value of an index is reg(I) if I is
-linearly presented and 0 if not, and a chunk keeps the values it has
-computed in a dict that it drops when it returns.  The recurrence is
+linearly presented and 0 if not.  The recurrence is
 
     I linearly presented  <=>  every I_{supp-v} is, and, if |supp| <= 2d,
                                the connectivity criterion passes on I
@@ -30,6 +29,24 @@ the lcm.  So a pair whose lcm misses a vertex v is tested in I_{supp-v},
 and only pairs whose lcm is the whole support are left.  The lcm of two
 degree-d generators has at most 2d vertices, so such pairs exist only when
 |supp| <= 2d.
+
+The values live in one restriction store per `verify_range` call: a
+bytearray holding, at each subset index, the value + 1, and 0 where the
+value is not known yet.  It grows to the end of each chunk, one byte per
+index, and is dropped when the call ends, cleanly or by an error.  Every
+chunk run in one process shares it, and each pool worker fills its own
+copy.  The chunks sweep in index order, so a restriction's value is
+usually read straight from the store; one not known yet (skipped by
+`orbits`, swept by another worker, or before a resume's cursor) is filled
+by the same recursion.  A vertex v's degree in the ideal is
+`(index & containing[v]).bit_count()`, 0 off the support, so the recursion
+lists no generators until all restrictions are linearly presented.
+
+Before the support is scanned, its vertices are relabelled in increasing
+(degree, vertex) order.  A relabelling gives an isomorphic complex, with
+the same homology over every field, so the value is unchanged.  Only the
+homology cache key changes, and the many ideals that differ by a
+relabelling of that kind share one cache entry.
 """
 
 from __future__ import annotations
@@ -57,6 +74,7 @@ from .core import (
     _check_ambient,
     _check_int,
     _is_int,
+    canon_key,
     report_json,
     squarefree_multiples,
     to_json,
@@ -179,55 +197,103 @@ class EnumerationSummary:
         return report_json(self, violations=[{"gens": I, "reg": reg} for I, reg in self.violations])
 
 
-def _avoiding(n: int, monomials: tuple[int, ...]) -> list[int]:
-    """For each vertex v, the subset index of the monomials avoiding v: the
-    index of an ideal's restriction to the vertices but v is its index
-    ANDed with it."""
-    return [sum(1 << i for i, m in enumerate(monomials) if not m >> v & 1) for v in range(n)]
+def _vertex_indices(n: int, monomials: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """For each vertex v, the subset indices of the monomials containing v
+    and of those avoiding it.  ANDed with an ideal's index, the first one
+    holds v's generators and the second one gives the index of the
+    restriction to the vertices but v."""
+    full = (1 << len(monomials)) - 1
+    containing = [sum(1 << i for i, m in enumerate(monomials) if m >> v & 1) for v in range(n)]
+    return containing, [full ^ c for c in containing]
 
 
-def _linear_reg(index: int, memo: dict, monomials: tuple[int, ...], avoiding: list[int],
-                d: int, field: FieldSpec) -> int:
+# The restriction store of each running `verify_range` call, keyed by its
+# (n, d, field.p); see the module docstring.
+_STORES: dict[tuple[int, int, int | None], bytearray] = {}
+
+
+@contextlib.contextmanager
+def _open_store(n: int, d: int, p: int | None):
+    """Open the restriction store that the chunks of one call share, seeded
+    with the value d of index 0 (the zero ideal adds nothing), and drop it
+    on exit."""
+    key = (n, d, p)
+    _STORES[key] = bytearray([d + 1])
+    try:
+        yield
+    finally:
+        del _STORES[key]
+
+
+def _relabelled_support(monomials: tuple[int, ...], index: int, keys) -> tuple[int, tuple[int, ...]]:
+    """(m, local): the generators of the ideal at `index` with its support
+    relabelled onto 0..m-1, the vertex of the i-th least (degree, vertex)
+    in `keys` (one per support vertex) becoming vertex i; canonical order."""
+    bit = {v: 1 << at for at, (_, v) in enumerate(sorted(keys))}
+    local = []
+    rem = index
+    while rem:
+        low = rem & -rem
+        rem ^= low
+        g = monomials[low.bit_length() - 1]
+        lg = 0
+        while g:
+            one = g & -g
+            g ^= one
+            lg |= bit[one.bit_length() - 1]
+        local.append(lg)
+    return len(keys), tuple(sorted(local, key=canon_key))
+
+
+def _linear_reg(index: int, store: bytearray, monomials: tuple[int, ...],
+                containing: list[int], avoiding: list[int], d: int, field: FieldSpec) -> int:
     """reg of the ideal at subset `index` if it is linearly presented, else
-    0, by recursion over its one-vertex restrictions, each read from or
-    written to `memo` (seeded with {0: d}, the zero ideal adding nothing).
+    0, by recursion over its one-vertex restrictions.  Each one is read
+    from `store` (value + 1, 0 for not known yet; see the module docstring),
+    or computed and written into it first; so is the result.  The store
+    must reach past `index`.
 
     The ideal is linearly presented when its restrictions are and, if
     |supp| <= 2d, the connectivity criterion passes on it; its regularity
     is the largest of d, its restrictions' values and the slots of sigma =
-    supp (see the module docstring)."""
-    gens = _subset_gens(monomials, index)  # canonical: increasing masks of one degree
-    supp = 0
-    for g in gens:
-        supp |= g
+    supp, relabelled by (degree, vertex)."""
     best = d
-    rest = supp
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        below = index & avoiding[low.bit_length() - 1]
-        value = memo.get(below)
-        if value is None:
-            value = _linear_reg(below, memo, monomials, avoiding, d, field)
+    keys = []  # (degree, vertex) of each support vertex
+    for v, (has, lacks) in enumerate(zip(containing, avoiding)):
+        degree = (index & has).bit_count()
+        if not degree:
+            continue
+        below = index & lacks
+        value = store[below] - 1
+        if value < 0:
+            value = _linear_reg(below, store, monomials, containing, avoiding, d, field)
         if not value:
             break
-        best = max(best, value)
+        if value > best:
+            best = value
+        keys.append((degree, v))
     else:
-        linear = supp.bit_count() > 2 * d or n2_verdict_masks(gens, d)[0]
-        value = _support_regularity(gens, field, best) if linear else 0
-    memo[index] = value
+        m, local = _relabelled_support(monomials, index, keys)
+        linear = m > 2 * d or n2_verdict_masks(local, d)[0]
+        value = _support_regularity(m, local, field, best) if linear else 0
+    store[index] = value + 1
     return value
 
 
 def _verify_chunk(task):
     n, d, fieldp, start, end, bound, symmetry = task
     monomials = degree_monomial_masks(n, d)
-    avoiding = _avoiding(n, monomials)
+    containing, avoiding = _vertex_indices(n, monomials)
     field = FieldSpec(fieldp)
     # each orbit's least index is checked once and counted for its orbit;
     # under "off" the group is the identity alone
     perms = _index_perms(n, d) if symmetry == "orbits" else ()
-    memo = {0: d}  # per chunk, so no chunk's work depends on another's
+    # the call's store, or one of this chunk's own when no call opened one
+    store = _STORES.get((n, d, fieldp))
+    if store is None:
+        store = bytearray([d + 1])
+    if len(store) <= end:
+        store.extend(bytes(end + 1 - len(store)))
     checked = 0
     n2_count = 0
     max_reg = -1
@@ -238,8 +304,9 @@ def _verify_chunk(task):
         if not weight:
             continue
         checked += weight
-        # restrictions have smaller indices, so `index` is not in the memo yet
-        reg = _linear_reg(index, memo, monomials, avoiding, d, field)
+        reg = store[index] - 1  # known already only if a later chunk ran first
+        if reg < 0:
+            reg = _linear_reg(index, store, monomials, containing, avoiding, d, field)
         if not reg:
             continue
         n2_count += weight
@@ -347,14 +414,18 @@ def verify_range(
 
     Every enumerated ideal passing the connectivity criterion gets its
     regularity computed and compared against max(d, f(n, d)) at the
-    ambient n.  Both come from the ideal's one-vertex restrictions, which
-    each chunk memoizes (module docstring): the ideal is linearly presented
-    when all of them are and, if |supp| <= 2d, the criterion passes on it,
-    and its regularity is the largest of d, theirs, and the Betti slots of
-    the support alone.  That is exact by the restriction lemma (the Betti
-    numbers at a vertex subset missing v are those of the restriction to
-    supp - v), and because a generator pair's lcm is the whole support only
-    when |supp| <= 2d.  The summary (including the extremal ideals and any
+    ambient n.  Both come from the ideal's one-vertex restrictions (module
+    docstring): the ideal is linearly presented when all of them are and,
+    if |supp| <= 2d, the criterion passes on it, and its regularity is the
+    largest of d, theirs, and the Betti slots of the support alone, scanned
+    with its vertices relabelled by degree.  That is exact by the
+    restriction lemma (the Betti numbers at a vertex subset missing v are
+    those of the restriction to supp - v), because a generator pair's lcm
+    is the whole support only when |supp| <= 2d, and because a relabelling
+    leaves the homology unchanged.  The values sit in one restriction store
+    per call, one byte per index up to the current chunk's end, which the
+    chunks run in one process share and which is dropped when the call
+    ends, normally or by an error.  The summary (including the extremal ideals and any
     violations) is byte-identical for any worker count and for
     checkpointed-and-resumed runs.  With symmetry="orbits" (n <= 7), only
     the least subset index of each orbit under the variable permutations is
@@ -387,8 +458,10 @@ def verify_range(
         doc = _read_checkpoint(checkpoint_path, stamp)
     state = {key: doc.get(key, default) for key, default in _START_STATE.items()}
 
-    # the stream and the worker pool are released on one path, error or not
+    # the store, the stream and the worker pool are released on one path,
+    # error or not; the pool's workers fork with the store open
     with contextlib.ExitStack() as stack:
+        stack.enter_context(_open_store(n, d, field.p))
         stream = sha = None
         if stream_path:
             stream = stack.enter_context(open(stream_path, "a+b"))  # creates a missing file

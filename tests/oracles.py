@@ -441,3 +441,40 @@ class CountingMask(int):
 
     def __rsub__(self, other):
         return CountingMask(int.__rsub__(self, other))
+
+
+def _edge_sets(edges):
+    """Degree-2 masks as a set of 2-element vertex sets."""
+    return {frozenset(v for v in range(e.bit_length()) if e >> v & 1) for e in edges}
+
+
+def oracle_gap_free(edges) -> bool:
+    """Whether the graph with these edges (degree-2 masks) has no gap: two
+    disjoint edges with no edge between them."""
+    es = _edge_sets(edges)
+    return not any(
+        not e & f and not any(frozenset((a, b)) in es for a in e for b in f)
+        for e in es for f in es
+    )
+
+
+def oracle_cochordal_complement(edges) -> bool:
+    """Whether the complement of the graph with these edges (degree-2
+    masks), on the vertices they cover, is chordal: whether a vertex whose
+    complement neighbours are pairwise adjacent there can be removed until
+    none is left (a perfect elimination ordering)."""
+    es = _edge_sets(edges)
+    left = set().union(*es)
+
+    def adjacent(a, b):  # in the complement
+        return a != b and frozenset((a, b)) not in es
+
+    while left:
+        for v in left:
+            nbrs = [u for u in left if adjacent(u, v)]
+            if all(adjacent(a, b) for a, b in combinations(nbrs, 2)):
+                left.remove(v)
+                break
+        else:
+            return False
+    return True

@@ -13,11 +13,25 @@ import sys
 from multiprocessing import get_context
 
 import pytest
-from oracles import oracle_canonical_subset_index, oracle_index_group, oracle_orbit_size
+from oracles import (
+    oracle_canonical_subset_index,
+    oracle_cochordal_complement,
+    oracle_gap_free,
+    oracle_index_group,
+    oracle_orbit_size,
+)
 
 import monomial_lab
-from monomial_lab.betti import regularity, regularity_masks
-from monomial_lab.complexes import GF2, RATIONALS, FieldSpec
+from monomial_lab import complexes
+from monomial_lab.betti import (
+    _band,
+    _reg_row,
+    _sigma_max,
+    _support_regularity,
+    regularity,
+    regularity_masks,
+)
+from monomial_lab.complexes import GF2, RATIONALS, FieldSpec, _remap
 from monomial_lab.core import CapacityError, Ideal, InputError, Monomial
 from monomial_lab import harness
 from monomial_lab.harness import (
@@ -28,11 +42,13 @@ from monomial_lab.harness import (
     open_case_search,
     remark_example,
     verify_range,
-    _avoiding,
     _index_perms,
     _linear_reg,
+    _open_store,
     _orbit_size,
+    _relabelled_support,
     _subset_gens,
+    _vertex_indices,
 )
 from monomial_lab.linearity import is_N2_graph, is_Nk_betti, n2_verdict_masks
 
@@ -82,9 +98,14 @@ PINNED = {(n, d, symmetry): digest for n, d, symmetry, digest in SUMMARY_SHA256}
 FIELDS = [RATIONALS, GF2, FieldSpec(3)]
 
 
+def full_store(monomials, d):
+    """A restriction store over every subset index, all unknown but index 0."""
+    return bytearray([d + 1]) + bytes((1 << len(monomials)) - 1)
+
+
 class TestRestrictionRecursion:
-    """`_linear_reg`, the memoized recursion of `verify_range`, against the
-    per-ideal connectivity criterion and regularity scan."""
+    """`_linear_reg`, the recursion of `verify_range` over its restriction
+    store, against the per-ideal connectivity criterion and regularity scan."""
 
     @staticmethod
     def expected(gens, d, field):
@@ -94,28 +115,103 @@ class TestRestrictionRecursion:
     @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (4, 3), (5, 3)])
     def test_every_index(self, n, d, field):
         monomials = degree_monomial_masks(n, d)
-        avoiding = _avoiding(n, monomials)
-        memo = {0: d}
+        containing, avoiding = _vertex_indices(n, monomials)
+        store = full_store(monomials, d)
         for index in range(1, 1 << len(monomials)):
-            got = _linear_reg(index, memo, monomials, avoiding, d, field)
+            got = _linear_reg(index, store, monomials, containing, avoiding, d, field)
             assert got == self.expected(_subset_gens(monomials, index), d, field), index
+            assert store[index] == got + 1
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     @pytest.mark.parametrize("n,d", [(6, 3), (7, 2), (6, 4)])
     def test_seeded_indices(self, n, d, field):
         monomials = degree_monomial_masks(n, d)
-        avoiding = _avoiding(n, monomials)
-        memo = {0: d}
+        containing, avoiding = _vertex_indices(n, monomials)
+        store = full_store(monomials, d)
         rng = random.Random(f"{n}/{d}")
         linear = 0
         for _ in range(500):
             index = rng.randrange(1, 1 << len(monomials))
-            got = memo.get(index)
-            if got is None:
-                got = _linear_reg(index, memo, monomials, avoiding, d, field)
+            got = store[index] - 1
+            if got < 0:
+                got = _linear_reg(index, store, monomials, containing, avoiding, d, field)
             assert got == self.expected(_subset_gens(monomials, index), d, field), index
             linear += got > 0
         assert linear  # the regularity side is exercised too
+
+
+class TestRelabelledSupportScan:
+    """The support scan on the support relabelled by (degree, vertex)
+    against the same scan relabelled in vertex order by `_remap`."""
+
+    @staticmethod
+    def check(n, d, field, indices):
+        monomials = degree_monomial_masks(n, d)
+        containing, _ = _vertex_indices(n, monomials)
+        for index in indices:
+            gens = _subset_gens(monomials, index)
+            supp = 0
+            for g in gens:
+                supp |= g
+            keys = [((index & c).bit_count(), v) for v, c in enumerate(containing) if index & c]
+            m, local = _relabelled_support(monomials, index, keys)
+            assert m == supp.bit_count() and len(local) == len(gens)
+            # local vertex i has the i-th least degree
+            degrees = [sum(g >> i & 1 for g in local) for i in range(m)]
+            assert degrees == sorted(degree for degree, _ in keys), index
+            band = _band(m, d, _reg_row)
+            want = d if band is None else _sigma_max(*_remap(supp, gens), field, d, _reg_row, band)
+            assert _support_regularity(m, local, field, d) == want, index
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("n,d", [(5, 2), (5, 3)])
+    def test_every_index(self, n, d, field):
+        self.check(n, d, field, range(1, 1 << math.comb(n, d)))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("n,d", [(7, 2), (6, 3)])
+    def test_seeded_indices(self, n, d, field):
+        rng = random.Random(f"relabel/{n}/{d}")
+        self.check(n, d, field, [rng.randrange(1, 1 << math.comb(n, d)) for _ in range(500)])
+
+
+class TestEdgeIdealClosedForms:
+    """The sweep's values on edge ideals against two closed forms: I(G) is
+    linearly presented exactly when G is gap-free (Eisenbud, Green, Hulek
+    and Popescu), and has reg 2 exactly when the complement of G is chordal
+    (Froberg)."""
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_seeded_indices(self, n):
+        monomials = degree_monomial_masks(n, 2)
+        containing, avoiding = _vertex_indices(n, monomials)
+        store = full_store(monomials, 2)
+        rng = random.Random(f"closed-forms/{n}")
+        seen = set()
+        for _ in range(300):
+            index = rng.randrange(1, len(store))
+            value = store[index] - 1
+            if value < 0:
+                value = _linear_reg(index, store, monomials, containing, avoiding, 2, RATIONALS)
+            edges = _subset_gens(monomials, index)
+            assert (value > 0) == oracle_gap_free(edges), index
+            assert (value == 2) == oracle_cochordal_complement(edges), index
+            seen.add(value)
+        assert seen == {0, 2, 3}
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_anticycles_have_reg_3(self, n):
+        edges = tuple(sorted((1 << i) | (1 << j) for i in range(n) for j in range(i + 2, n)
+                             if (i, j) != (0, n - 1)))
+        assert oracle_gap_free(edges) and not oracle_cochordal_complement(edges)
+        assert n2_verdict_masks(edges, 2)[0]
+        assert regularity_masks(edges, RATIONALS) == 3
+        if n <= 7:  # within the sweep's reach
+            monomials = degree_monomial_masks(n, 2)
+            index = sum(1 << monomials.index(e) for e in edges)
+            store = full_store(monomials, 2)
+            assert _linear_reg(index, store, monomials, *_vertex_indices(n, monomials),
+                               2, RATIONALS) == 3
 
 
 class TestVerifyRange:
@@ -439,7 +535,7 @@ class TestVerifyRange:
             sizes += size
         assert sizes == total  # the orbits partition the subset space
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_orbits_6_2_summary_pinned(self, jobs):
         got = verify_range(6, 2, jobs=jobs, symmetry="orbits", chunk_size=1000).to_json()
         assert hashlib.sha256(got.encode()).hexdigest() == PINNED[6, 2, "orbits"]
@@ -477,6 +573,85 @@ class TestVerifyRange:
         orbits = verify_range(n, d, jobs=2, symmetry="orbits", chunk_size=64)
         assert len(off.violations) == off.n2_count
         assert orbits.violations == off.violations
+
+
+class TestRestrictionStore:
+    """The one restriction store of a `verify_range` call: its lifetime, its
+    sharing between chunks, and the cache entries the relabelled support
+    scans make."""
+
+    @staticmethod
+    def failing_write_after(monkeypatch, k):
+        write = harness._write_checkpoint
+        calls = []
+
+        def fails(path, doc):
+            calls.append(path)
+            if len(calls) == k:
+                raise OSError("killed")
+            write(path, doc)
+
+        monkeypatch.setattr(harness, "_write_checkpoint", fails)
+
+    def test_6_2_scans_few_complexes(self):
+        complexes.clear_caches()
+        verify_range(6, 2)
+        # 15,665 when each support was scanned with its own labels
+        assert len(complexes._F2_DATA) <= 500
+
+    def test_no_store_outlives_the_call(self, tmp_path, monkeypatch):
+        seen = []
+        chunk = harness._verify_chunk
+
+        def spy(task):
+            seen.append(len(harness._STORES[5, 2, None]))
+            return chunk(task)
+
+        monkeypatch.setattr(harness, "_verify_chunk", spy)
+        verify_range(5, 2, chunk_size=100)
+        # one store, reaching past the previous chunk when the next one starts
+        assert seen == [1] + list(range(101, 1024, 100))
+        assert harness._STORES == {}
+        monkeypatch.undo()
+        self.failing_write_after(monkeypatch, 3)
+        with pytest.raises(OSError, match="killed"):
+            verify_range(5, 2, chunk_size=100, checkpoint_path=str(tmp_path / "ck.json"))
+        assert harness._STORES == {}
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_6_2_summary_pinned_across_jobs(self, jobs):
+        got = verify_range(6, 2, jobs=jobs, chunk_size=1000).to_json()
+        assert hashlib.sha256(got.encode()).hexdigest() == PINNED[6, 2, "off"]
+
+    @pytest.mark.parametrize("symmetry", ["off", "orbits"])
+    def test_6_2_summary_pinned_after_resume(self, tmp_path, monkeypatch, symmetry):
+        ck = str(tmp_path / "ck.json")
+        self.failing_write_after(monkeypatch, 7)
+        with pytest.raises(OSError, match="killed"):
+            verify_range(6, 2, chunk_size=1000, symmetry=symmetry, checkpoint_path=ck)
+        monkeypatch.undo()
+        assert json.loads(open(ck).read())["cursor"] == 6001
+        got = verify_range(6, 2, chunk_size=1000, symmetry=symmetry, checkpoint_path=ck,
+                           resume=True).to_json()
+        assert hashlib.sha256(got.encode()).hexdigest() == PINNED[6, 2, symmetry]
+
+    def test_chunks_out_of_order(self):
+        starts = range(1, 1024, 100)
+
+        def task(start):
+            return (5, 2, None, start, min(start + 99, 1023), 2, "off")
+
+        with _open_store(5, 2, None):
+            in_order = [harness._verify_chunk(task(s)) for s in starts]
+        with _open_store(5, 2, None):
+            late = harness._verify_chunk(task(201))
+            early = harness._verify_chunk(task(1))
+        assert (early, late) == (in_order[0], in_order[2])
+        with _open_store(5, 2, None):
+            assert [harness._verify_chunk(task(s)) for s in reversed(starts)] == in_order[::-1]
+        # with no store open, each call keeps one of its own
+        assert [harness._verify_chunk(task(s)) for s in reversed(starts)] == in_order[::-1]
+        assert harness._STORES == {}
 
 
 class TestOrbitsCampaign:
