@@ -129,14 +129,8 @@ def cmd_report(check, name, show_g, args, ideal):
 
 def cmd_verify(args, ideal):
     summary = harness.verify_range(
-        args.n,
-        args.d,
-        field=args.field,
-        jobs=args.jobs,
-        checkpoint_path=args.checkpoint,
-        resume=args.resume,
-        chunk_size=args.chunk_size,
-        symmetry=args.symmetry,
+        args.n, args.d, field=args.field, jobs=args.jobs, checkpoint_path=args.checkpoint,
+        resume=args.resume, chunk_size=args.chunk_size, symmetry=args.symmetry,
         stream_path=args.stream,
     )
     human = (
@@ -297,14 +291,10 @@ def main(argv=None) -> int:
         args.field = FieldSpec.parse(args.field)  # checked for every command
         ideal = None
         if "file" in args:
-            try:
-                with open(args.file, encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise InputError(f"cannot read {args.file}: {exc}") from exc
-            ideal = parse_ideal(text)
+            with open(args.file, encoding="utf-8") as fh:
+                ideal = parse_ideal(fh.read())
         doc, human, code = args.func(args, ideal)
-    except InputError as exc:
+    except (InputError, OSError) as exc:  # OSError: the file, --stream or --checkpoint
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalCheckError as exc:

@@ -14,8 +14,8 @@ restrictions.  For a vertex v of the support, the restriction I_{supp-v}
 smaller than the ideal's own.  The value of an index is reg(I) if I is
 linearly presented and 0 if not.  The recurrence is
 
-    I linearly presented  <=>  every I_{supp-v} is, and, if |supp| <= 2d,
-                               the connectivity criterion passes on I
+    I linearly presented  <=>  every I_{supp-v} is, and the generator
+                               graph of I is connected
     reg(I) = max(d, reg(I_{supp-v}) over v, the slots of sigma = supp)
 
 Both lines are exact because of the restriction lemma: the fine Betti
@@ -25,10 +25,12 @@ support they are those of I_{supp-v} (Herzog, Hibi, Trung and Zheng, Trans.
 AMS 2008).  Every sigma but the support itself misses some vertex, so only
 the support is scanned here (`betti._support_regularity`).  Likewise the
 lcm subgraph of a generator pair depends only on the generators dividing
-the lcm.  So a pair whose lcm misses a vertex v is tested in I_{supp-v},
-and only pairs whose lcm is the whole support are left.  The lcm of two
-degree-d generators has at most 2d vertices, so such pairs exist only when
-|supp| <= 2d.
+the lcm, so a pair whose lcm misses a vertex v was settled in I_{supp-v},
+and a pair whose lcm is the whole support has the whole generator graph as
+its lcm subgraph.  Conversely, a pair from two components of a disconnected
+generator graph is disconnected inside its own lcm subgraph too.  The lcm
+of two degree-d generators has at most 2d vertices, so when |supp| > 2d
+every pair was settled below, and the graph is not searched.
 
 The values live in one restriction store per `verify_range` call: a
 bytearray holding, at each subset index, the value + 1, and 0 where the
@@ -65,7 +67,7 @@ from multiprocessing import get_context
 
 from .betti import _support_regularity, regularity_masks
 from .bounds import theorem_bound
-from .complexes import RATIONALS, FieldSpec, _check_field
+from .complexes import GF2, RATIONALS, FieldSpec, _check_field
 from .core import (
     CapacityError,
     Ideal,
@@ -79,7 +81,7 @@ from .core import (
     squarefree_multiples,
     to_json,
 )
-from .linearity import _gcd_witness_masks, _linear_after, n2_verdict_masks
+from .linearity import _adjacency, _spans, n2_verdict_masks
 
 MAX_SUBSET_SPACE = 63  # subset indices must fit a machine word
 
@@ -231,11 +233,7 @@ def _relabelled_support(monomials: tuple[int, ...], index: int, keys) -> tuple[i
     in `keys` (one per support vertex) becoming vertex i; canonical order."""
     bit = {v: 1 << at for at, (_, v) in enumerate(sorted(keys))}
     local = []
-    rem = index
-    while rem:
-        low = rem & -rem
-        rem ^= low
-        g = monomials[low.bit_length() - 1]
+    for g in _subset_gens(monomials, index):
         lg = 0
         while g:
             one = g & -g
@@ -248,15 +246,17 @@ def _relabelled_support(monomials: tuple[int, ...], index: int, keys) -> tuple[i
 def _linear_reg(index: int, store: bytearray, monomials: tuple[int, ...],
                 containing: list[int], avoiding: list[int], d: int, field: FieldSpec) -> int:
     """reg of the ideal at subset `index` if it is linearly presented, else
-    0, by recursion over its one-vertex restrictions.  Each one is read
-    from `store` (value + 1, 0 for not known yet; see the module docstring),
-    or computed and written into it first; so is the result.  The store
+    0: read from `store` (value + 1, 0 for not known yet; see the module
+    docstring), or found by recursion over its one-vertex restrictions,
+    which are read or found the same way, and written into it.  The store
     must reach past `index`.
 
-    The ideal is linearly presented when its restrictions are and, if
-    |supp| <= 2d, the connectivity criterion passes on it; its regularity
-    is the largest of d, its restrictions' values and the slots of sigma =
-    supp, relabelled by (degree, vertex)."""
+    The ideal is linearly presented when its restrictions are and its
+    generator graph is connected (searched only if |supp| <= 2d); its
+    regularity is the largest of d, its restrictions' values and the slots
+    of sigma = supp, relabelled by (degree, vertex)."""
+    if store[index]:
+        return store[index] - 1
     best = d
     keys = []  # (degree, vertex) of each support vertex
     for v, (has, lacks) in enumerate(zip(containing, avoiding)):
@@ -274,7 +274,7 @@ def _linear_reg(index: int, store: bytearray, monomials: tuple[int, ...],
         keys.append((degree, v))
     else:
         m, local = _relabelled_support(monomials, index, keys)
-        linear = m > 2 * d or n2_verdict_masks(local, d)[0]
+        linear = m > 2 * d or _spans(_adjacency(local, d), (1 << len(local)) - 1)
         value = _support_regularity(m, local, field, best) if linear else 0
     store[index] = value + 1
     return value
@@ -289,9 +289,7 @@ def _verify_chunk(task):
     # under "off" the group is the identity alone
     perms = _index_perms(n, d) if symmetry == "orbits" else ()
     # the call's store, or one of this chunk's own when no call opened one
-    store = _STORES.get((n, d, fieldp))
-    if store is None:
-        store = bytearray([d + 1])
+    store = _STORES.get((n, d, fieldp)) or bytearray([d + 1])
     if len(store) <= end:
         store.extend(bytes(end + 1 - len(store)))
     checked = 0
@@ -304,9 +302,7 @@ def _verify_chunk(task):
         if not weight:
             continue
         checked += weight
-        reg = store[index] - 1  # known already only if a later chunk ran first
-        if reg < 0:
-            reg = _linear_reg(index, store, monomials, containing, avoiding, d, field)
+        reg = _linear_reg(index, store, monomials, containing, avoiding, d, field)
         if not reg:
             continue
         n2_count += weight
@@ -349,7 +345,11 @@ _START_STATE = {
 }
 
 
-def _read_checkpoint(path: str, stamp: dict) -> dict:
+def _within(value, least, most=math.inf) -> bool:
+    return _is_int(value) and least <= value <= most
+
+
+def _read_checkpoint(path: str, stamp: dict, total: int) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -362,6 +362,19 @@ def _read_checkpoint(path: str, stamp: dict) -> dict:
     found = {key: doc[key] for key in stamp}
     if found != stamp:
         raise CheckpointError(f"checkpoint {path} was written for run {found}, not {stamp}")
+    marks, pairs = doc["extremal_so_far"], doc["violations"]
+    for key, ok in [
+        ("cursor", _within(doc["cursor"], 1, total + 1)),
+        ("checked", _within(doc["checked"], 0)),
+        ("n2_count", _within(doc["n2_count"], 0)),
+        ("running_max", _within(doc["running_max"], -1)),
+        ("extremal_so_far", isinstance(marks, list) and all(_within(i, 1, total) for i in marks)),
+        ("violations", isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2 and _within(p[0], 1, total) and _is_int(p[1])
+            for p in pairs)),
+    ]:
+        if not ok:
+            raise CheckpointError(f"checkpoint {path} has a bad {key}: {doc[key]!r}")
     return doc
 
 
@@ -414,27 +427,20 @@ def verify_range(
 
     Every enumerated ideal passing the connectivity criterion gets its
     regularity computed and compared against max(d, f(n, d)) at the
-    ambient n.  Both come from the ideal's one-vertex restrictions (module
-    docstring): the ideal is linearly presented when all of them are and,
-    if |supp| <= 2d, the criterion passes on it, and its regularity is the
-    largest of d, theirs, and the Betti slots of the support alone, scanned
-    with its vertices relabelled by degree.  That is exact by the
-    restriction lemma (the Betti numbers at a vertex subset missing v are
-    those of the restriction to supp - v), because a generator pair's lcm
-    is the whole support only when |supp| <= 2d, and because a relabelling
-    leaves the homology unchanged.  The values sit in one restriction store
-    per call, one byte per index up to the current chunk's end, which the
-    chunks run in one process share and which is dropped when the call
-    ends, normally or by an error.  The summary (including the extremal ideals and any
-    violations) is byte-identical for any worker count and for
-    checkpointed-and-resumed runs.  With symmetry="orbits" (n <= 7), only
-    the least subset index of each orbit under the variable permutations is
-    checked, and it counts for its whole orbit: the counts and violations
-    are the labelled ones of "off", the extremal ideals one per orbit.  The
-    checkpoint records the stream's length and hash; a resume refuses a
-    stream at least that long whose first bytes do not match, and cuts a
-    matching one back.  The worker pool is terminated when the merge ends,
-    normally or by an error (a failed checkpoint write, say), so queued
+    ambient n.  Both are read from one restriction store per call (module
+    docstring), which the chunks run in one process share and which is
+    dropped when the call ends, normally or by an error.  The summary
+    (including the extremal ideals and any violations) is byte-identical
+    for any worker count and for checkpointed-and-resumed runs.  With
+    symmetry="orbits" (n <= 7), only the least subset index of each orbit
+    under the variable permutations is checked, and it counts for its whole
+    orbit: the counts and violations are the labelled ones of "off", the
+    extremal ideals one per orbit.  The checkpoint records the stream's
+    length and hash; a resume refuses a stream at least that long whose
+    first bytes do not match, and cuts a matching one back, and it refuses
+    a checkpoint whose state fields do not fit the run.  The worker pool
+    is terminated when the merge ends, normally or by an error (a failed
+    checkpoint write, say), so queued
     chunks are never waited for.
     """
     monomials = _capacity_checked(n, d)
@@ -455,7 +461,7 @@ def verify_range(
     if resume:
         if checkpoint_path is None:
             raise CheckpointError("resume requested without a checkpoint path")
-        doc = _read_checkpoint(checkpoint_path, stamp)
+        doc = _read_checkpoint(checkpoint_path, stamp, total)
     state = {key: doc.get(key, default) for key, default in _START_STATE.items()}
 
     # the store, the stream and the worker pool are released on one path,
@@ -567,30 +573,36 @@ def gcd_lemma_sweep(n: int, d: int) -> GcdSweepReport:
     truncation of I + (f) linearly presented, some generator f1 must have
     deg gcd(f1, f) = deg f - 1 with the truncation of I + (gcd) still
     linearly presented.  Reports any (I, f) without a witness (expected:
-    none).  The verdicts use the connectivity criterion, which involves no
-    field.
+    none).  With `multiples[g]` the subset index of the degree-d multiples
+    of g, the truncation of I + (g) is the ideal at `index | multiples[g]`,
+    and I lies inside (f) when `index & ~multiples[f]` is 0.  Every verdict
+    is read from one full-size restriction store (module docstring), filled
+    by `_linear_reg` over GF(2), the cheapest field: linear presentation
+    involves no field.
     """
     monomials = _capacity_checked(n, d)
     total = (1 << len(monomials)) - 1
     t0 = time.monotonic()
-    # the degree-d multiples of each f and of each gcd(f1, f), of degree >= 1
-    supersets = {
-        m: squarefree_multiples(m, n, d)
-        for deg in range(1, d + 1) for m in degree_monomial_masks(n, deg)
+    containing, avoiding = _vertex_indices(n, monomials)
+    store = bytearray([d + 1]) + bytes(total)  # index 0 seeded as by `_open_store`
+    linear = functools.partial(_linear_reg, store=store, monomials=monomials,
+                               containing=containing, avoiding=avoiding, d=d, field=GF2)
+    # each f and each gcd(f1, f), of degree >= 1
+    multiples = {
+        g: sum(1 << i for i, m in enumerate(monomials) if g & ~m == 0)
+        for deg in range(1, d + 1) for g in degree_monomial_masks(n, deg)
     }
-    multiples = supersets.__getitem__
-    f_candidates = [f for f in supersets if f.bit_count() >= 2]
+    f_candidates = [(f, f.bit_count() - 1) for f in multiples if f.bit_count() >= 2]
     pairs_checked = 0
     violations: list[tuple[int, int]] = []
     for index in range(1, total + 1):
         gens = _subset_gens(monomials, index)
-        for f in f_candidates:
-            if all(f & ~g == 0 for g in gens):
-                continue  # I inside (f)
-            if not _linear_after(gens, f, d, multiples):
-                continue
+        for f, gcd_degree in f_candidates:
+            if not index & ~multiples[f] or not linear(index | multiples[f]):
+                continue  # I inside (f), or the hypothesis fails
             pairs_checked += 1
-            if _gcd_witness_masks(gens, f, d, multiples) is None:
+            if not any((f1 & f).bit_count() == gcd_degree and linear(index | multiples[f1 & f])
+                       for f1 in gens):
                 violations.append((index, f))
     return GcdSweepReport(
         n=n,

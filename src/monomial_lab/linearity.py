@@ -13,7 +13,6 @@ its scan, `betti.nk_betti_masks`, lives with the other table scans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .betti import nk_betti_masks
 from .complexes import RATIONALS, FieldSpec
@@ -69,6 +68,11 @@ def _reach(adj, members: int, seen: int, target: int) -> int:
         frontier = nxt & members & ~seen
         seen |= frontier
     return seen
+
+
+def _spans(adj, members: int) -> bool:
+    """Whether the vertex bitmask `members` is connected along `adj`."""
+    return _reach(adj, members, members & -members, 0) == members
 
 
 def n2_verdict_masks(gens: tuple[int, ...], d: int):
@@ -143,9 +147,7 @@ class LcmSubgraph:
 
     def is_connected(self) -> bool:
         # induced: the edges are the graph's edges among `vertices`
-        members = sum(1 << x for x in self.vertices)
-        start = members & -members
-        return _reach(self.graph.adjacency, members, start, 0) == members
+        return _spans(self.graph.adjacency, sum(1 << x for x in self.vertices))
 
 
 def generator_graph(I: Ideal) -> GenGraph:
@@ -189,21 +191,11 @@ def is_Nk_betti(I: Ideal, k: int, field: FieldSpec = RATIONALS) -> bool:
     return nk_betti_masks(I.gen_masks, d, k, field)
 
 
-def _linear_after(gens: tuple[int, ...], extra: int, d: int, multiples) -> bool:
-    """Whether gens together with the degree-d multiples of `extra` (listed
-    by `multiples(extra)`) are linearly presented."""
-    return n2_verdict_masks(tuple(sorted(set(gens).union(multiples(extra)))), d)[0]
-
-
-def _gcd_witness_masks(gens: tuple[int, ...], f: int, d: int, multiples):
-    """The first generator f1 with deg gcd(f1, f) = deg f - 1 whose gcd
-    keeps the degree-d truncation linearly presented, or None."""
-    fd = f.bit_count()
-    for f1 in gens:
-        g = f1 & f
-        if g.bit_count() == fd - 1 and _linear_after(gens, g, d, multiples):
-            return f1
-    return None
+def _linear_after(gens: tuple[int, ...], extra: int, n: int, d: int) -> bool:
+    """Whether gens together with the degree-d multiples of `extra` on n
+    variables are linearly presented."""
+    truncated = set(gens).union(squarefree_multiples(extra, n, d))
+    return n2_verdict_masks(tuple(sorted(truncated)), d)[0]
 
 
 def gcd_witness(I: Ideal, f: Monomial) -> tuple[Monomial, Monomial]:
@@ -221,12 +213,13 @@ def gcd_witness(I: Ideal, f: Monomial) -> tuple[Monomial, Monomial]:
         raise PreconditionError(f"need 2 <= deg f <= {d}, got {f.degree}")
     if all(f.mask & ~g.mask == 0 for g in I.gens):
         raise PreconditionError("I is contained in (f)")
-    multiples = partial(squarefree_multiples, n=I.ambient, d=d)
-    if not _linear_after(I.gen_masks, f.mask, d, multiples):
+    gens, n = I.gen_masks, I.ambient
+    if not _linear_after(gens, f.mask, n, d):
         raise PreconditionError("truncation of I + (f) is not linearly presented")
-    f1 = _gcd_witness_masks(I.gen_masks, f.mask, d, multiples)
-    if f1 is None:
-        raise TheoremViolationError(
-            f"no gcd witness for I={I} and f={f}: hypotheses hold but every candidate fails"
-        )
-    return Monomial(I.ambient, f1), Monomial(I.ambient, f1 & f.mask)
+    for f1 in gens:
+        g = f1 & f.mask
+        if g.bit_count() == f.degree - 1 and _linear_after(gens, g, n, d):
+            return Monomial(n, f1), Monomial(n, g)
+    raise TheoremViolationError(
+        f"no gcd witness for I={I} and f={f}: hypotheses hold but every candidate fails"
+    )

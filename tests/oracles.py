@@ -265,6 +265,19 @@ def oracle_n2_verdict(gens, d):
     return True, None
 
 
+def oracle_graph_connected(gens, d) -> bool:
+    """Whether the generator graph of `gens` is connected, by depth-first
+    search over the pairs whose lcm has degree d + 1, in plain set code."""
+    seen, todo = {0}, [0]
+    while todo:
+        a = todo.pop()
+        for b, g in enumerate(gens):
+            if b not in seen and (gens[a] | g).bit_count() == d + 1:
+                seen.add(b)
+                todo.append(b)
+    return len(seen) == len(gens)
+
+
 # --- the unpruned Betti scans -------------------------------------------------
 #
 # The package's scans as they were before the pruned driver: every saturated

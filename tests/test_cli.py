@@ -411,6 +411,19 @@ class TestErrorPaths:
         p.write_text("x1*x2\n")
         assert run_cli(capsys, "reg", str(p))[0] == 2
 
+    def test_verify_stream_to_a_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "verify", "--n", "4", "--d", "2",
+                                 "--stream", str(tmp_path))
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "Is a directory" in err
+
+    def test_verify_checkpoint_in_a_missing_directory(self, capsys, tmp_path):
+        ck = tmp_path / "missing" / "ck.json"
+        code, out, err = run_cli(capsys, "verify", "--n", "4", "--d", "2",
+                                 "--checkpoint", str(ck))
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "No such file or directory" in err and str(ck) in err
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])

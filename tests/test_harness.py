@@ -1,11 +1,13 @@
 """Enumeration, exhaustive verification with checkpoints and parallelism,
 the built-in golden example, and the gcd witness sweep."""
 
+import ast
 import hashlib
 import json
 import math
 import multiprocessing
 import os
+import pathlib
 import random
 import signal
 import subprocess
@@ -17,12 +19,13 @@ from oracles import (
     oracle_canonical_subset_index,
     oracle_cochordal_complement,
     oracle_gap_free,
+    oracle_graph_connected,
     oracle_index_group,
     oracle_orbit_size,
 )
 
 import monomial_lab
-from monomial_lab import complexes
+from monomial_lab import complexes, linearity
 from monomial_lab.betti import (
     _band,
     _reg_row,
@@ -32,7 +35,15 @@ from monomial_lab.betti import (
     regularity_masks,
 )
 from monomial_lab.complexes import GF2, RATIONALS, FieldSpec, _remap
-from monomial_lab.core import CapacityError, Ideal, InputError, Monomial
+from monomial_lab.core import (
+    CapacityError,
+    Ideal,
+    InputError,
+    Monomial,
+    PreconditionError,
+    TheoremViolationError,
+    squarefree_multiples,
+)
 from monomial_lab import harness
 from monomial_lab.harness import (
     CheckpointError,
@@ -50,7 +61,13 @@ from monomial_lab.harness import (
     _subset_gens,
     _vertex_indices,
 )
-from monomial_lab.linearity import is_N2_graph, is_Nk_betti, n2_verdict_masks
+from monomial_lab.linearity import (
+    _linear_after,
+    gcd_witness,
+    is_N2_graph,
+    is_Nk_betti,
+    n2_verdict_masks,
+)
 
 
 class TestEnumeration:
@@ -214,6 +231,40 @@ class TestEdgeIdealClosedForms:
                                2, RATIONALS) == 3
 
 
+class TestConnectivityLemma:
+    """Once every one-vertex restriction of an ideal is linearly presented,
+    the ideal is linearly presented exactly when its generator graph is
+    connected (the `harness` module docstring)."""
+
+    @staticmethod
+    def check(n, d, indices):
+        monomials = degree_monomial_masks(n, d)
+        outcomes = set()
+        for index in indices:
+            gens = _subset_gens(monomials, index)
+            supp = 0
+            for g in gens:
+                supp |= g
+            vertices = [v for v in range(n) if supp >> v & 1]
+            if all(n2_verdict_masks(tuple(g for g in gens if not g >> v & 1), d)[0]
+                   for v in vertices):
+                verdict = n2_verdict_masks(gens, d)[0]
+                assert verdict == oracle_graph_connected(gens, d), index
+                outcomes.add(verdict)
+        return outcomes
+
+    # at (4, 3) every two generators are adjacent, so no graph is disconnected
+    @pytest.mark.parametrize("n,d,outcomes", [(4, 3, {True}), (5, 3, {True, False}),
+                                              (5, 2, {True, False})])
+    def test_every_index(self, n, d, outcomes):
+        assert self.check(n, d, range(1, 1 << math.comb(n, d))) == outcomes
+
+    def test_seeded_6_3_indices(self):
+        rng = random.Random("connectivity/6/3")
+        indices = [rng.randrange(1, 1 << 20) for _ in range(500)]
+        assert self.check(6, 3, indices) == {True, False}
+
+
 class TestVerifyRange:
     def test_4_2_exact(self):
         s = verify_range(4, 2)
@@ -309,6 +360,33 @@ class TestVerifyRange:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="missing required fields"):
             verify_range(4, 2, checkpoint_path=str(path), resume=True)
+
+    @pytest.mark.parametrize("key,value", [
+        ("cursor", "x"), ("cursor", -5), ("cursor", 0), ("cursor", 10**6), ("cursor", True),
+        ("checked", None), ("checked", -1), ("n2_count", 1.5), ("running_max", "a"),
+        ("running_max", -2), ("extremal_so_far", 3), ("extremal_so_far", [0]),
+        ("extremal_so_far", [64]), ("violations", {}), ("violations", [[5]]),
+        ("violations", [[5, "3"]]), ("violations", [[0, 3]]), ("violations", [[5, 3, 1]]),
+    ])
+    def test_checkpoint_state_must_fit_the_run(self, tmp_path, key, value):
+        path = tmp_path / "ck.json"
+        verify_range(4, 2, chunk_size=20, checkpoint_path=str(path))
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=f"has a bad {key}: "):
+            verify_range(4, 2, chunk_size=20, checkpoint_path=str(path), resume=True)
+
+    def test_checkpoint_state_at_its_limits(self, tmp_path):
+        path = tmp_path / "ck.json"
+        straight = verify_range(4, 2, chunk_size=20, checkpoint_path=str(path))
+        doc = json.loads(path.read_text())
+        assert doc["cursor"] == 64  # total + 1: nothing left to run
+        doc.update(extremal_so_far=[1, 63], violations=[[63, 3]])
+        path.write_text(json.dumps(doc))
+        resumed = verify_range(4, 2, chunk_size=20, checkpoint_path=str(path), resume=True)
+        assert (resumed.cursor, resumed.checked) == (straight.cursor, straight.checked)
+        assert len(resumed.extremal) == 2 and resumed.violations[0][1] == 3
 
     @pytest.mark.parametrize("kwargs,message", [
         ({"jobs": 0}, "jobs must be >= 1, got 0"),
@@ -796,10 +874,97 @@ class TestGcdSweep:
         (5, 2, "724232368c36dcc0b002f8346663666e23d614b76a5d0c697b991a14e5faa007"),
         (5, 3, "4ca2fdc8791d103d4d80ee5864cbbbebfdcc02a29dc9462399142ce6eab25b20"),
         (4, 3, "6ec7eb125997928cc9a54c5b62f5725dfd0dd12a15b751063476f356d0b915fa"),
+        (6, 2, "055aa081c4a33f8d607696edf2249d0c1d84c51ddec1a8b343c5656da0ae52e1"),
     ])
     def test_report_pinned(self, n, d, digest):
         report = gcd_lemma_sweep(n, d).to_json()
         assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n,d", [(6, 2), (5, 3)])
+    def test_store_verdicts_against_truncations(self, n, d, monkeypatch):
+        """The verdicts of the sweep's store at `index | multiples[f]`
+        against the connectivity criterion on each truncation of I + (f),
+        and the sweep's witnesses against `gcd_witness`."""
+        stores = []
+        recurse = harness._linear_reg
+
+        def spy(index, store, monomials, containing, avoiding, d, field):
+            assert field == GF2
+            stores.append(store)
+            return recurse(index, store, monomials, containing, avoiding, d, field)
+
+        monkeypatch.setattr(harness, "_linear_reg", spy)
+        assert gcd_lemma_sweep(n, d).violations_empty
+        monkeypatch.undo()
+        store = stores[0]
+        assert all(s is store for s in stores) and len(store) == 1 << math.comb(n, d)
+        monomials = degree_monomial_masks(n, d)
+        position = {m: i for i, m in enumerate(monomials)}
+        vertex_indices = _vertex_indices(n, monomials)
+
+        def linear(index):  # filled the same way when the sweep did not need it
+            return recurse(index, store, monomials, *vertex_indices, d, GF2) > 0
+
+        def truncation_index(index, g):
+            return index | sum(1 << position[m] for m in squarefree_multiples(g, n, d))
+
+        rng = random.Random(f"gcd-store/{n}/{d}")
+        candidates = [f for deg in range(2, d + 1) for f in degree_monomial_masks(n, deg)]
+        hypotheses = 0
+        for _ in range(150):
+            index = rng.randrange(1, len(store))
+            gens = _subset_gens(monomials, index)
+            I = Ideal.from_masks(n, gens)
+            for f in candidates:
+                verdict = linear(truncation_index(index, f))
+                assert verdict == _linear_after(gens, f, n, d), (index, f)
+                if all(f & ~g == 0 for g in gens) or not verdict:
+                    with pytest.raises(PreconditionError):
+                        gcd_witness(I, Monomial(n, f))
+                    continue
+                hypotheses += 1
+                found = any((f1 & f).bit_count() == f.bit_count() - 1
+                            and linear(truncation_index(index, f1 & f)) for f1 in gens)
+                try:
+                    gcd_witness(I, Monomial(n, f))
+                except TheoremViolationError:
+                    assert not found, (index, f)
+                else:
+                    assert found, (index, f)
+        assert hypotheses
+
+    def test_no_connectivity_scans(self, monkeypatch):
+        """The sweep and `verify_range` decide linear presentation from the
+        restriction store alone, with no `n2_verdict_masks` call."""
+        calls = []
+
+        def counted(gens, d):
+            calls.append(gens)
+            return n2_verdict_masks(gens, d)
+
+        monkeypatch.setattr(harness, "n2_verdict_masks", counted)
+        monkeypatch.setattr(linearity, "n2_verdict_masks", counted)
+        gcd_lemma_sweep(5, 2)
+        verify_range(5, 3)
+        assert calls == []
+        open_case_search(5, 3, samples=3)
+        assert calls  # the count sees the calls that are made
+
+    def test_only_the_open_case_search_calls_n2_verdict_masks(self):
+        """No code in `harness` but `open_case_search` names
+        `n2_verdict_masks`: the exhaustive sweeps read the one store
+        verdict."""
+        tree = ast.parse(pathlib.Path(harness.__file__).read_text(encoding="utf-8"))
+        allowed = {id(node) for fn in tree.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "open_case_search"
+                   for node in ast.walk(fn)}
+        offenders = [
+            node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "n2_verdict_masks"
+                or isinstance(node, ast.Attribute) and node.attr == "n2_verdict_masks")
+            and id(node) not in allowed
+        ]
+        assert offenders == []
 
 
 class TestOpenCaseSearch:
