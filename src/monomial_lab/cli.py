@@ -294,7 +294,7 @@ def main(argv=None) -> int:
             with open(args.file, encoding="utf-8") as fh:
                 ideal = parse_ideal(fh.read())
         doc, human, code = args.func(args, ideal)
-    except (InputError, OSError) as exc:  # OSError: the file, --stream or --checkpoint
+    except (InputError, OSError, UnicodeDecodeError) as exc:  # the file, --stream, --checkpoint
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalCheckError as exc:

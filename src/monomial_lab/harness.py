@@ -30,7 +30,9 @@ and a pair whose lcm is the whole support has the whole generator graph as
 its lcm subgraph.  Conversely, a pair from two components of a disconnected
 generator graph is disconnected inside its own lcm subgraph too.  The lcm
 of two degree-d generators has at most 2d vertices, so when |supp| > 2d
-every pair was settled below, and the graph is not searched.
+every pair was settled below, and the graph is not searched.  Otherwise
+it is the subgraph on the ideal's index bits of one graph per (n, d), over
+all degree-d monomials (`_sweep_tables`).
 
 The values live in one restriction store per `verify_range` call: a
 bytearray holding, at each subset index, the value + 1, and 0 where the
@@ -38,11 +40,11 @@ value is not known yet.  It grows to the end of each chunk, one byte per
 index, and is dropped when the call ends, cleanly or by an error.  Every
 chunk run in one process shares it, and each pool worker fills its own
 copy.  The chunks sweep in index order, so a restriction's value is
-usually read straight from the store; one not known yet (skipped by
-`orbits`, swept by another worker, or before a resume's cursor) is filled
-by the same recursion.  A vertex v's degree in the ideal is
-`(index & containing[v]).bit_count()`, 0 off the support, so the recursion
-lists no generators until all restrictions are linearly presented.
+usually read straight from the store; one not known yet (swept by another
+worker, or before a resume's cursor) is filled by the same recursion.  A
+vertex v's degree in the ideal is `(index & containing[v]).bit_count()`,
+0 off the support, so the recursion lists no generators until all
+restrictions are linearly presented.
 
 Before the support is scanned, its vertices are relabelled in increasing
 (degree, vertex) order.  A relabelling gives an isomorphic complex, with
@@ -61,6 +63,7 @@ import json
 import math
 import os
 import random
+import re
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -154,22 +157,15 @@ def _index_perms(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(index_of[_image(m, p)] for m in monomials) for p in perms)
 
 
-def _orbit_size(index: int, perms) -> int:
-    """The size of the orbit of subset index `index` under the identity and
-    the non-identity permutations `perms` if `index` is the least index in
-    it, else 0; with no `perms`, 1.
-
-    Stops at the first permutation that maps the index lower.  A least
-    index goes through all of them, and its orbit size is the group order
-    len(perms) + 1 over the number of permutations that fix it, the
-    identity included (orbit-stabilizer)."""
-    fixed = 1
+def _lower_image(index: int, perms) -> int:
+    """The image of subset index `index` under the first of the permutations
+    `perms` that maps it lower, or 0 if none does: `index` is then the least
+    index in its orbit, its representative.  With no `perms` ("off"), 0."""
     for arr in perms:
         mapped = _image(index, arr)
         if mapped < index:
-            return 0
-        fixed += mapped == index
-    return (len(perms) + 1) // fixed
+            return mapped
+    return 0
 
 
 # --- exhaustive verification ---------------------------------------------------
@@ -199,14 +195,18 @@ class EnumerationSummary:
         return report_json(self, violations=[{"gens": I, "reg": reg} for I, reg in self.violations])
 
 
-def _vertex_indices(n: int, monomials: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """For each vertex v, the subset indices of the monomials containing v
-    and of those avoiding it.  ANDed with an ideal's index, the first one
-    holds v's generators and the second one gives the index of the
-    restriction to the vertices but v."""
+@functools.cache
+def _sweep_tables(n: int, d: int):
+    """(d, monomials, containing, avoiding, adjacent) of the degree-d subset
+    space on n variables.  ANDed with an ideal's index, `containing[v]`
+    holds v's generators and `avoiding[v]` gives the index of its
+    restriction to the vertices but v.  `adjacent` is the generator graph of
+    all the monomials; its subgraph on an index's bits is the ideal's."""
+    monomials = degree_monomial_masks(n, d)
     full = (1 << len(monomials)) - 1
-    containing = [sum(1 << i for i, m in enumerate(monomials) if m >> v & 1) for v in range(n)]
-    return containing, [full ^ c for c in containing]
+    containing = tuple(sum(1 << i for i, m in enumerate(monomials) if m >> v & 1) for v in range(n))
+    avoiding = tuple(full ^ c for c in containing)
+    return d, monomials, containing, avoiding, tuple(_adjacency(monomials, d))
 
 
 # The restriction store of each running `verify_range` call, keyed by its
@@ -243,20 +243,21 @@ def _relabelled_support(monomials: tuple[int, ...], index: int, keys) -> tuple[i
     return len(keys), tuple(sorted(local, key=canon_key))
 
 
-def _linear_reg(index: int, store: bytearray, monomials: tuple[int, ...],
-                containing: list[int], avoiding: list[int], d: int, field: FieldSpec) -> int:
+def _linear_reg(index: int, store: bytearray, tables, field: FieldSpec) -> int:
     """reg of the ideal at subset `index` if it is linearly presented, else
     0: read from `store` (value + 1, 0 for not known yet; see the module
     docstring), or found by recursion over its one-vertex restrictions,
     which are read or found the same way, and written into it.  The store
-    must reach past `index`.
+    must reach past `index`; `tables` are `_sweep_tables(n, d)`.
 
     The ideal is linearly presented when its restrictions are and its
-    generator graph is connected (searched only if |supp| <= 2d); its
-    regularity is the largest of d, its restrictions' values and the slots
-    of sigma = supp, relabelled by (degree, vertex)."""
+    generator graph, the subgraph of `adjacent` on the bits of `index`, is
+    connected (searched only if |supp| <= 2d).  Its regularity is then the
+    largest of d, its restrictions' values and the slots of sigma = supp,
+    relabelled by (degree, vertex)."""
     if store[index]:
         return store[index] - 1
+    d, monomials, containing, avoiding, adjacent = tables
     best = d
     keys = []  # (degree, vertex) of each support vertex
     for v, (has, lacks) in enumerate(zip(containing, avoiding)):
@@ -266,58 +267,54 @@ def _linear_reg(index: int, store: bytearray, monomials: tuple[int, ...],
         below = index & lacks
         value = store[below] - 1
         if value < 0:
-            value = _linear_reg(below, store, monomials, containing, avoiding, d, field)
+            value = _linear_reg(below, store, tables, field)
         if not value:
             break
         if value > best:
             best = value
         keys.append((degree, v))
     else:
-        m, local = _relabelled_support(monomials, index, keys)
-        linear = m > 2 * d or _spans(_adjacency(local, d), (1 << len(local)) - 1)
-        value = _support_regularity(m, local, field, best) if linear else 0
+        value = 0
+        if len(keys) > 2 * d or _spans(adjacent, index):
+            value = _support_regularity(*_relabelled_support(monomials, index, keys), field, best)
     store[index] = value + 1
     return value
 
 
 def _verify_chunk(task):
     n, d, fieldp, start, end, bound, symmetry = task
-    monomials = degree_monomial_masks(n, d)
-    containing, avoiding = _vertex_indices(n, monomials)
+    tables = _sweep_tables(n, d)
     field = FieldSpec(fieldp)
-    # each orbit's least index is checked once and counted for its orbit;
-    # under "off" the group is the identity alone
+    # "orbits": each index but its orbit's least takes the value of a lower image
     perms = _index_perms(n, d) if symmetry == "orbits" else ()
     # the call's store, or one of this chunk's own when no call opened one
     store = _STORES.get((n, d, fieldp)) or bytearray([d + 1])
     if len(store) <= end:
         store.extend(bytes(end + 1 - len(store)))
-    checked = 0
     n2_count = 0
     max_reg = -1
     extremal: list[int] = []
     violations: list[tuple[int, int]] = []
     for index in range(start, end + 1):
-        weight = _orbit_size(index, perms)
-        if not weight:
-            continue
-        checked += weight
-        reg = _linear_reg(index, store, monomials, containing, avoiding, d, field)
+        lower = _lower_image(index, perms)
+        reg = _linear_reg(lower or index, store, tables, field)
+        store[index] = reg + 1  # relabelling keeps the value
         if not reg:
             continue
-        n2_count += weight
+        n2_count += 1
+        if reg > bound:
+            violations.append((index, reg))
+        if lower:
+            continue  # only representatives are listed as extremal
         if reg > max_reg:
             max_reg = reg
             extremal = [index]
         elif reg == max_reg:
             extremal.append(index)
-        if reg > bound:
-            orbit = sorted({index}.union(_image(index, arr) for arr in perms))
-            violations += [(member, reg) for member in orbit]
     return {
         "start": start,
         "end": end,
-        "checked": checked,
+        "checked": end + 1 - start,
         "n2_count": n2_count,
         "max_reg": max_reg,
         "extremal": extremal,
@@ -355,23 +352,27 @@ def _read_checkpoint(path: str, stamp: dict, total: int) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupted checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or not (stamp.keys() | _START_STATE.keys()) <= doc.keys():
         raise CheckpointError(f"checkpoint {path} is missing required fields")
     found = {key: doc[key] for key in stamp}
     if found != stamp:
         raise CheckpointError(f"checkpoint {path} was written for run {found}, not {stamp}")
-    marks, pairs = doc["extremal_so_far"], doc["violations"]
+    last = doc["cursor"] - 1 if _within(doc["cursor"], 1, total + 1) else -1
+    marks, pairs, sha = doc["extremal_so_far"], doc["violations"], doc.get("stream_sha256")
     for key, ok in [
-        ("cursor", _within(doc["cursor"], 1, total + 1)),
-        ("checked", _within(doc["checked"], 0)),
-        ("n2_count", _within(doc["n2_count"], 0)),
+        ("cursor", last >= 0),
+        ("checked", _within(doc["checked"], last, last)),
+        ("n2_count", _within(doc["n2_count"], 0, last)),
         ("running_max", _within(doc["running_max"], -1)),
-        ("extremal_so_far", isinstance(marks, list) and all(_within(i, 1, total) for i in marks)),
+        ("extremal_so_far", isinstance(marks, list) and all(_within(i, 1, last) for i in marks)),
         ("violations", isinstance(pairs, list) and all(
-            isinstance(p, list) and len(p) == 2 and _within(p[0], 1, total) and _is_int(p[1])
+            isinstance(p, list) and len(p) == 2 and _within(p[0], 1, last) and _is_int(p[1])
             for p in pairs)),
+        ("stream_length", "stream_length" not in doc or _within(doc["stream_length"], 0)),
+        ("stream_sha256", "stream_sha256" not in doc
+         or isinstance(sha, str) and re.fullmatch("[0-9a-f]{64}", sha)),
     ]:
         if not ok:
             raise CheckpointError(f"checkpoint {path} has a bad {key}: {doc[key]!r}")
@@ -433,15 +434,15 @@ def verify_range(
     (including the extremal ideals and any violations) is byte-identical
     for any worker count and for checkpointed-and-resumed runs.  With
     symmetry="orbits" (n <= 7), only the least subset index of each orbit
-    under the variable permutations is checked, and it counts for its whole
-    orbit: the counts and violations are the labelled ones of "off", the
-    extremal ideals one per orbit.  The checkpoint records the stream's
+    under the variable permutations is computed, and each other index takes
+    the value of a lower image: counts, violations and stream are those of
+    "off", the extremal ideals one per orbit.  In both modes a checkpoint
+    at cursor c describes exactly indices 1..c-1 and records the stream's
     length and hash; a resume refuses a stream at least that long whose
     first bytes do not match, and cuts a matching one back, and it refuses
-    a checkpoint whose state fields do not fit the run.  The worker pool
-    is terminated when the merge ends, normally or by an error (a failed
-    checkpoint write, say), so queued
-    chunks are never waited for.
+    a checkpoint whose state fields do not fit the run.  The worker pool is
+    terminated when the merge ends, normally or by an error (a failed
+    checkpoint write, say), so queued chunks are never waited for.
     """
     monomials = _capacity_checked(n, d)
     if symmetry not in ("off", "orbits"):
@@ -508,7 +509,7 @@ def verify_range(
     )
     violations = tuple(
         (Ideal.from_masks(n, _subset_gens(monomials, idx)), reg)
-        for idx, reg in sorted(state["violations"])  # an orbit comes with its least index
+        for idx, reg in state["violations"]
     )
     return EnumerationSummary(
         n=n,
@@ -583,10 +584,8 @@ def gcd_lemma_sweep(n: int, d: int) -> GcdSweepReport:
     monomials = _capacity_checked(n, d)
     total = (1 << len(monomials)) - 1
     t0 = time.monotonic()
-    containing, avoiding = _vertex_indices(n, monomials)
     store = bytearray([d + 1]) + bytes(total)  # index 0 seeded as by `_open_store`
-    linear = functools.partial(_linear_reg, store=store, monomials=monomials,
-                               containing=containing, avoiding=avoiding, d=d, field=GF2)
+    linear = functools.partial(_linear_reg, store=store, tables=_sweep_tables(n, d), field=GF2)
     # each f and each gcd(f1, f), of degree >= 1
     multiples = {
         g: sum(1 << i for i, m in enumerate(monomials) if g & ~m == 0)

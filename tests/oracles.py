@@ -225,11 +225,6 @@ def oracle_canonical_subset_index(index: int, perms) -> int:
     return min(oracle_orbit(index, perms))
 
 
-def oracle_orbit_size(index: int, perms) -> int:
-    """Number of distinct images of `index` under `perms`."""
-    return len(oracle_orbit(index, perms))
-
-
 def random_mask(rng: random.Random, n: int, degree: int) -> int:
     m = 0
     for b in rng.sample(range(n), degree):

@@ -411,6 +411,20 @@ class TestErrorPaths:
         p.write_text("x1*x2\n")
         assert run_cli(capsys, "reg", str(p))[0] == 2
 
+    def test_undecodable_file(self, capsys, tmp_path):
+        p = tmp_path / "bad.ideal"
+        p.write_bytes(b"ambient 3\nx1*x2\xff\n")
+        code, out, err = run_cli(capsys, "reg", str(p))
+        assert code == 2 and not out and err.startswith("error: ") and "utf-8" in err
+
+    def test_undecodable_checkpoint(self, capsys, tmp_path):
+        ck = tmp_path / "ck.json"
+        argv = ["verify", "--n", "4", "--d", "2", "--checkpoint", str(ck)]
+        assert run_cli(capsys, *argv)[0] == 0
+        ck.write_bytes(ck.read_bytes().replace(b'"Q"', b'"Q\xff"'))
+        code, out, err = run_cli(capsys, *argv, "--resume")
+        assert code == 2 and not out and err.startswith("error: corrupted checkpoint ")
+
     def test_verify_stream_to_a_directory(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "verify", "--n", "4", "--d", "2",
                                  "--stream", str(tmp_path))

@@ -21,7 +21,7 @@ from oracles import (
     oracle_gap_free,
     oracle_graph_connected,
     oracle_index_group,
-    oracle_orbit_size,
+    oracle_orbit,
 )
 
 import monomial_lab
@@ -55,11 +55,11 @@ from monomial_lab.harness import (
     verify_range,
     _index_perms,
     _linear_reg,
+    _lower_image,
     _open_store,
-    _orbit_size,
     _relabelled_support,
     _subset_gens,
-    _vertex_indices,
+    _sweep_tables,
 )
 from monomial_lab.linearity import (
     _linear_after,
@@ -131,19 +131,19 @@ class TestRestrictionRecursion:
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (4, 3), (5, 3)])
     def test_every_index(self, n, d, field):
-        monomials = degree_monomial_masks(n, d)
-        containing, avoiding = _vertex_indices(n, monomials)
+        tables = _sweep_tables(n, d)
+        monomials = tables[1]
         store = full_store(monomials, d)
         for index in range(1, 1 << len(monomials)):
-            got = _linear_reg(index, store, monomials, containing, avoiding, d, field)
+            got = _linear_reg(index, store, tables, field)
             assert got == self.expected(_subset_gens(monomials, index), d, field), index
             assert store[index] == got + 1
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     @pytest.mark.parametrize("n,d", [(6, 3), (7, 2), (6, 4)])
     def test_seeded_indices(self, n, d, field):
-        monomials = degree_monomial_masks(n, d)
-        containing, avoiding = _vertex_indices(n, monomials)
+        tables = _sweep_tables(n, d)
+        monomials = tables[1]
         store = full_store(monomials, d)
         rng = random.Random(f"{n}/{d}")
         linear = 0
@@ -151,7 +151,7 @@ class TestRestrictionRecursion:
             index = rng.randrange(1, 1 << len(monomials))
             got = store[index] - 1
             if got < 0:
-                got = _linear_reg(index, store, monomials, containing, avoiding, d, field)
+                got = _linear_reg(index, store, tables, field)
             assert got == self.expected(_subset_gens(monomials, index), d, field), index
             linear += got > 0
         assert linear  # the regularity side is exercised too
@@ -163,8 +163,7 @@ class TestRelabelledSupportScan:
 
     @staticmethod
     def check(n, d, field, indices):
-        monomials = degree_monomial_masks(n, d)
-        containing, _ = _vertex_indices(n, monomials)
+        _, monomials, containing, _, _ = _sweep_tables(n, d)
         for index in indices:
             gens = _subset_gens(monomials, index)
             supp = 0
@@ -200,17 +199,16 @@ class TestEdgeIdealClosedForms:
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_seeded_indices(self, n):
-        monomials = degree_monomial_masks(n, 2)
-        containing, avoiding = _vertex_indices(n, monomials)
-        store = full_store(monomials, 2)
+        tables = _sweep_tables(n, 2)
+        store = full_store(tables[1], 2)
         rng = random.Random(f"closed-forms/{n}")
         seen = set()
         for _ in range(300):
             index = rng.randrange(1, len(store))
             value = store[index] - 1
             if value < 0:
-                value = _linear_reg(index, store, monomials, containing, avoiding, 2, RATIONALS)
-            edges = _subset_gens(monomials, index)
+                value = _linear_reg(index, store, tables, RATIONALS)
+            edges = _subset_gens(tables[1], index)
             assert (value > 0) == oracle_gap_free(edges), index
             assert (value == 2) == oracle_cochordal_complement(edges), index
             seen.add(value)
@@ -227,8 +225,7 @@ class TestEdgeIdealClosedForms:
             monomials = degree_monomial_masks(n, 2)
             index = sum(1 << monomials.index(e) for e in edges)
             store = full_store(monomials, 2)
-            assert _linear_reg(index, store, monomials, *_vertex_indices(n, monomials),
-                               2, RATIONALS) == 3
+            assert _linear_reg(index, store, _sweep_tables(n, 2), RATIONALS) == 3
 
 
 class TestConnectivityLemma:
@@ -263,6 +260,56 @@ class TestConnectivityLemma:
         rng = random.Random("connectivity/6/3")
         indices = [rng.randrange(1, 1 << 20) for _ in range(500)]
         assert self.check(6, 3, indices) == {True, False}
+
+
+class TestSweepTables:
+    """The sweep's tables, built once per (n, d): the generator graph of the
+    ideal at a subset index is the subgraph of `adjacent` on its bits."""
+
+    @staticmethod
+    def check(n, d, indices):
+        _, monomials, _, _, adjacent = _sweep_tables(n, d)
+        outcomes = set()
+        for index in indices:
+            connected = linearity._spans(adjacent, index)
+            assert connected == oracle_graph_connected(_subset_gens(monomials, index), d), index
+            outcomes.add(connected)
+        return outcomes
+
+    @pytest.mark.parametrize("n,d", [(5, 2), (5, 3)])
+    def test_every_index(self, n, d):
+        assert self.check(n, d, range(1, 1 << math.comb(n, d))) == {True, False}
+
+    def test_seeded_6_3_indices(self):
+        rng = random.Random("tables/6/3")
+        indices = [rng.randrange(1, 1 << 20) for _ in range(500)]
+        assert self.check(6, 3, indices) == {True, False}
+
+    def test_one_graph_per_n_d(self, monkeypatch):
+        calls = []
+
+        def counted(gens, d):
+            calls.append((len(gens), d))
+            return linearity._adjacency(gens, d)
+
+        monkeypatch.setattr(harness, "_adjacency", counted)
+        _sweep_tables.cache_clear()
+        verify_range(5, 3)
+        assert calls == [(10, 3)]  # one graph on all ten monomials, no per-support one
+
+    def test_tables_and_images_have_one_home(self):
+        """In `harness`, only `_sweep_tables` names `_adjacency`, and only
+        `_index_perms` and `_lower_image` name `_image`."""
+        tree = ast.parse(pathlib.Path(harness.__file__).read_text(encoding="utf-8"))
+        homes = {"_adjacency": set(), "_image": set()}
+        for top in tree.body:
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name in homes:
+                    homes[name].add(getattr(top, "name", top.lineno))
+        assert homes == {"_adjacency": {"_sweep_tables"},
+                         "_image": {"_index_perms", "_lower_image"}}
 
 
 class TestVerifyRange:
@@ -367,6 +414,12 @@ class TestVerifyRange:
         ("running_max", -2), ("extremal_so_far", 3), ("extremal_so_far", [0]),
         ("extremal_so_far", [64]), ("violations", {}), ("violations", [[5]]),
         ("violations", [[5, "3"]]), ("violations", [[0, 3]]), ("violations", [[5, 3, 1]]),
+        # the state describes exactly the indices below the cursor
+        ("checked", 62), ("checked", 64), ("n2_count", 64),
+        ("stream_length", "x"), ("stream_length", 2.5), ("stream_length", -3),
+        ("stream_length", -1), ("stream_length", True), ("stream_length", None),
+        ("stream_sha256", 5), ("stream_sha256", "0" * 63), ("stream_sha256", "g" * 64),
+        ("stream_sha256", "A" * 64),
     ])
     def test_checkpoint_state_must_fit_the_run(self, tmp_path, key, value):
         path = tmp_path / "ck.json"
@@ -591,9 +644,10 @@ class TestVerifyRange:
         pool = degree_monomial_masks(4, 2)
         # the singleton {x3x4} maps to the singleton {x1x2} under relabeling
         hi = 1 << pool.index(0b1100)
-        assert _orbit_size(hi, perms) == 0
-        assert _orbit_size(1, perms) == 6  # the six edges of K4
-        assert _orbit_size(hi, ()) == 1  # "off": the identity alone
+        lower = _lower_image(hi, perms)
+        assert lower < hi and lower.bit_count() == 1  # another single edge
+        assert _lower_image(1, perms) == 0  # {x1x2}, the least of the six edges of K4
+        assert _lower_image(hi, ()) == 0  # "off": no index has a lower image
         assert oracle_canonical_subset_index(hi, oracle_index_group(4, 2)) == 1
 
     @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (5, 3), (4, 3)])
@@ -603,15 +657,12 @@ class TestVerifyRange:
         identity = tuple(range(len(group[0])))
         assert sorted(perms) == sorted(arr for arr in group if arr != identity)
         total = (1 << len(degree_monomial_masks(n, d))) - 1
-        sizes = 0
         for index in range(1, total + 1):
             least = oracle_canonical_subset_index(index, group) == index
-            size = _orbit_size(index, perms)
-            assert bool(size) == least, index
-            if least:
-                assert size == oracle_orbit_size(index, group), index
-            sizes += size
-        assert sizes == total  # the orbits partition the subset space
+            lower = _lower_image(index, perms)
+            assert (lower == 0) == least, index
+            if lower:
+                assert lower < index and lower in oracle_orbit(index, group), index
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_orbits_6_2_summary_pinned(self, jobs):
@@ -734,7 +785,8 @@ class TestRestrictionStore:
 
 class TestOrbitsCampaign:
     """Campaign files in `orbits` mode at (5,2) with chunks of 64, so that
-    the pentagon orbit's members fall outside its representative's chunk."""
+    the pentagon orbit's members fall outside its representative's chunk:
+    each member is written in its own chunk, as under `off`."""
 
     @staticmethod
     def run(tmp_path, name, jobs=1, resume=False):
@@ -789,6 +841,28 @@ class TestOrbitsCampaign:
         ck.write_text(json.dumps({**json.loads(ck.read_text()), "symmetry": old}))
         before = ck.read_bytes(), stream.read_bytes()
         with pytest.raises(CheckpointError, match=old):
+            self.run(tmp_path, "old", resume=True)
+        assert (ck.read_bytes(), stream.read_bytes()) == before
+
+    @pytest.mark.parametrize("key", ["checked", "violations"])
+    def test_refuses_checkpoint_past_its_cursor(self, tmp_path, monkeypatch, key):
+        """A checkpoint counting whole orbits, as `orbits` once wrote them,
+        holds counts and violations past its cursor.  Resuming it would
+        count them twice, so it is refused, and its files are left as they
+        were."""
+        _, straight, _ = self.run(tmp_path, "straight")
+        pentagons = [r["index"] for r in map(json.loads, straight.splitlines())
+                     if r["type"] == "violation"]
+        self.crash_at_write(monkeypatch, 6, lambda: self.run(tmp_path, "old"))
+        ck, stream = tmp_path / "old.json", tmp_path / "old.jsonl"
+        doc = json.loads(ck.read_text())
+        assert doc["cursor"] == 321 and doc["checked"] == 320
+        assert any(i >= 321 for i in pentagons)
+        # the counts and violations seen in such a checkpoint at this cursor
+        old = {"checked": 997, "violations": [[i, 3] for i in pentagons]}
+        ck.write_text(json.dumps({**doc, key: old[key]}))
+        before = ck.read_bytes(), stream.read_bytes()
+        with pytest.raises(CheckpointError, match=f"has a bad {key}: "):
             self.run(tmp_path, "old", resume=True)
         assert (ck.read_bytes(), stream.read_bytes()) == before
 
@@ -888,10 +962,10 @@ class TestGcdSweep:
         stores = []
         recurse = harness._linear_reg
 
-        def spy(index, store, monomials, containing, avoiding, d, field):
-            assert field == GF2
+        def spy(index, store, tables, field):
+            assert field == GF2 and tables is _sweep_tables(n, d)
             stores.append(store)
-            return recurse(index, store, monomials, containing, avoiding, d, field)
+            return recurse(index, store, tables, field)
 
         monkeypatch.setattr(harness, "_linear_reg", spy)
         assert gcd_lemma_sweep(n, d).violations_empty
@@ -900,10 +974,9 @@ class TestGcdSweep:
         assert all(s is store for s in stores) and len(store) == 1 << math.comb(n, d)
         monomials = degree_monomial_masks(n, d)
         position = {m: i for i, m in enumerate(monomials)}
-        vertex_indices = _vertex_indices(n, monomials)
 
         def linear(index):  # filled the same way when the sweep did not need it
-            return recurse(index, store, monomials, *vertex_indices, d, GF2) > 0
+            return recurse(index, store, _sweep_tables(n, d), GF2) > 0
 
         def truncation_index(index, g):
             return index | sum(1 << position[m] for m in squarefree_multiples(g, n, d))
