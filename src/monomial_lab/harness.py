@@ -158,13 +158,32 @@ def _index_perms(n: int, d: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _lower_image(index: int, perms) -> int:
-    """The image of subset index `index` under the first of the permutations
-    `perms` that maps it lower, or 0 if none does: `index` is then the least
-    index in its orbit, its representative.  With no `perms` ("off"), 0."""
+    """An image of subset index `index` lower than `index` under one of the
+    permutations `perms` (a group but its identity, as `_index_perms`
+    lists it), or 0 if none is: `index` is then the least index in its
+    orbit, its representative.  With no `perms` ("off"), 0.
+
+    The group is closed under inverses, so each `arr` is read as the
+    inverse of an element g: bit p of g's image of `index` is bit arr[p] of
+    `index`.  The image is compared with `index` from the top bit down and
+    only up to the first bit where they differ; it is lower when `index`
+    has the 1 there.  Only the winning image is built."""
+    if not perms:
+        return 0
+    bits = [index >> p & 1 for p in range(len(perms[0]))]
+    top_down = range(len(bits) - 1, -1, -1)
     for arr in perms:
-        mapped = _image(index, arr)
-        if mapped < index:
-            return mapped
+        for p in top_down:
+            bit = bits[arr[p]]
+            if bit != bits[p]:
+                break
+        else:
+            continue  # g fixes `index`
+        if not bit:
+            inverse = [0] * len(arr)
+            for p, q in enumerate(arr):
+                inverse[q] = p
+            return _image(index, inverse)
     return 0
 
 

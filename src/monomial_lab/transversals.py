@@ -22,11 +22,24 @@ def minimal_transversals(masks) -> tuple[int, ...]:
 
     The drop test does not scan the kept members once per extension.  A
     kept member h inside t|v meets s in v alone, since h meets s and t
-    misses s, and it lies inside t|s.  Conversely a kept member inside t|s
-    that meets s in v alone lies inside t|v.  So only the kept members that
-    meet s in one vertex can drop an extension; they are listed once per
-    s, and once per t those inside t|s name the vertices v whose extension
-    t|v is dropped.
+    misses s.  So only the kept members that meet s in one vertex v can
+    drop an extension; each is listed once per s as (r, v) with r = h less
+    s, and h lies inside t|v exactly when r lies inside t, since r misses
+    s and v is in s.
+
+    With m missing members and k listed pairs, the scan tests every pair
+    against every missing member: m * k mask tests.  On a large step the
+    test is indexed instead.  For each vertex w of some r, `at[w]` is the
+    bitset of the positions in the missing list of the members that
+    contain w.  The AND of `at[w]` over the vertices of r is the set of
+    positions whose member contains r, all of them when r is empty; those
+    are the members whose extension by v is dropped, and `drop[v]`
+    collects them.  This costs the vertices of the missing members that
+    some r uses, plus the vertices of the r, plus m times the number of
+    vertices with a drop.  On the few-member steps of small families the
+    index costs more to build than the scan, so a step scans while
+    m * k <= 8 * (m + k).  Either way the extensions are appended in the
+    same order, so `partial` is the same list after every step.
     """
     partial: list[int] = [0]
     for s in masks:
@@ -37,14 +50,47 @@ def minimal_transversals(masks) -> tuple[int, ...]:
         for t in partial:
             (hit if t & s else miss).append(t)
         partial = hit
-        # (h, the one vertex of s in h) for the kept members h meeting s once
-        single = [(h, v) for h in hit if not (v := h & s) & (v - 1)]
+        # (h less s, the one vertex of s in h) for the kept members h meeting s once
+        single = [(h & ~s, v) for h in hit if not (v := h & s) & (v - 1)]
+        # k <= 8 implies m * k <= 8 * (m + k) and is cheaper to test
+        if (k := len(single)) <= 8 or len(miss) * k <= 8 * (len(miss) + k):
+            for t in miss:
+                rem = s
+                for r, v in single:
+                    if not r & ~t:
+                        rem &= ~v
+                while rem:
+                    low = rem & -rem
+                    rem ^= low
+                    partial.append(t | low)
+            continue
+        off = 0
+        for r, _ in single:
+            off |= r
+        at: dict[int, int] = {}
+        bit = 1
         for t in miss:
-            ts = t | s
-            dropped = 0
-            for v in [v for h, v in single if not h & ~ts]:
-                dropped |= v
-            rem = s & ~dropped
+            x = t & off
+            while x:
+                w = x & -x
+                x ^= w
+                at[w] = at.get(w, 0) | bit
+            bit <<= 1
+        drop: dict[int, int] = {}
+        for r, v in single:
+            sup = bit - 1  # every position in `miss`
+            while r and sup:
+                w = r & -r
+                r ^= w
+                sup &= at.get(w, 0)
+            if sup:
+                drop[v] = drop.get(v, 0) | sup
+        dropped_at = list(drop.items())
+        for i, t in enumerate(miss):
+            rem = s
+            for v, d in dropped_at:
+                if d >> i & 1:
+                    rem &= ~v
             while rem:
                 low = rem & -rem
                 rem ^= low

@@ -1,7 +1,8 @@
 """Brute-force reference implementations, independent of the package's
 algorithms: membership enumeration over all 2^n squarefree monomials,
-hitting sets by subset scan, homology by plain fraction Gaussian
-elimination.  Used to compute and freeze expected values."""
+hitting sets by subset scan and by Berge's construction with a plain drop
+test, homology by plain fraction Gaussian elimination.  Used to compute
+and freeze expected values."""
 
 from __future__ import annotations
 
@@ -79,6 +80,35 @@ def oracle_dual(gens, n):
     """Minimal hitting sets by scanning all 2^n subsets."""
     hitting = [m for m in range(1 << n) if all(m & g for g in gens)]
     return minimalize(hitting)
+
+
+def oracle_berge_scan(masks):
+    """Minimal transversals by Berge's construction with the plain drop
+    test: every extension t|v is checked against every kept member that
+    meets the new set s in one vertex.  Reaches the 20+ vertices that the
+    subset scan of `oracle_dual` cannot."""
+    partial: list[int] = [0]
+    for s in masks:
+        if s == 0:
+            raise ValueError("family contains the empty set; no transversal exists")
+        hit = []
+        miss = []
+        for t in partial:
+            (hit if t & s else miss).append(t)
+        partial = hit
+        # (h, the one vertex of s in h) for the kept members h meeting s once
+        single = [(h, v) for h in hit if not (v := h & s) & (v - 1)]
+        for t in miss:
+            ts = t | s
+            dropped = 0
+            for v in [v for h, v in single if not h & ~ts]:
+                dropped |= v
+            rem = s & ~dropped
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                partial.append(t | low)
+    return tuple(sorted(partial, key=lambda x: (popcount(x), x)))
 
 
 def fraction_rank(rows) -> int:

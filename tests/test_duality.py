@@ -1,6 +1,7 @@
 """Alexander duality, height profiles, the S2 test, and cohomological
 dimension, with the subset-scan hitting-set oracle as the second route."""
 
+import inspect
 import itertools
 import os
 import random
@@ -8,7 +9,14 @@ import subprocess
 import sys
 
 import pytest
-from oracles import CountingMask, oracle_dual, random_gens, random_mask
+from oracles import (
+    CountingMask,
+    oracle_berge_scan,
+    oracle_dual,
+    random_gens,
+    random_mask,
+    spread,
+)
 
 import monomial_lab
 from monomial_lab import complexes, duality, transversals
@@ -95,13 +103,70 @@ class TestTransversalWork:
                 family.append(base if rng.random() < 0.5
                               else base | random_mask(rng, n, rng.randint(1, n)))
             rng.shuffle(family)
-            assert minimal_transversals(family) == oracle_dual(family, n), trial
+            got = minimal_transversals(family)
+            assert got == oracle_dual(family, n), trial
+            assert got == oracle_berge_scan(family), trial
+
+    def test_against_berge_scan_on_wide_families(self):
+        """30-40 degree-3 sets on 16-24 vertices, placed among up to 8 more
+        positions as the benchmark embeds its ideals: the supports whose
+        duals `large-ideal` takes, beyond the reach of the subset scan."""
+        rng = random.Random(47)
+        for trial in range(8):
+            n = rng.randint(16, 24)
+            family = [random_mask(rng, n, 3) for _ in range(rng.randint(30, 40))]
+            family = spread(family, n, n + rng.randint(0, 8), rng)
+            assert minimal_transversals(family) == oracle_berge_scan(family), trial
+
+    def test_both_drop_tests_run(self):
+        """A campaign-sized family takes the scan on every step, and a wide
+        family takes the index on its large steps, seen by a line tracer."""
+        lines, first = inspect.getsourcelines(minimal_transversals)
+        marks = {first + i: side for i, line in enumerate(lines)
+                 for side, text in (("scan", "if not r & ~t:"),
+                                    ("index", "dropped_at = list(drop.items())"))
+                 if text in line}
+        assert sorted(marks.values()) == ["index", "scan"]
+
+        def sides(family):
+            seen = set()
+
+            def local(frame, event, arg):
+                if event == "line" and frame.f_lineno in marks:
+                    seen.add(marks[frame.f_lineno])
+                return local
+
+            code = minimal_transversals.__code__
+            old = sys.gettrace()
+            sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+            try:
+                got = minimal_transversals(family)
+            finally:
+                sys.settrace(old)
+            assert got == oracle_berge_scan(family)
+            return seen
+
+        rng = random.Random(5)
+        wide = [random_mask(rng, 18, 4) for _ in range(40)]  # the 982-member run below
+        assert sides(wide) == {"scan", "index"}
+        assert sides([random_mask(rng, 6, 2) for _ in range(9)]) == {"scan"}
+
+    def test_dual_of_dual_on_wide_ideals(self):
+        """Alexander duality is an involution, here on two seeded ideals on
+        21 and 22 variables whose duals have over 1,000 generators."""
+        for seed, n, count in ((4, 21, 38), (4, 22, 40)):
+            rng = random.Random(seed)
+            I = Ideal.from_masks(n, sorted({random_mask(rng, n, 3) for _ in range(count)}))
+            dual = alexander_dual(I)
+            assert len(dual.gens) > 1000
+            assert alexander_dual(dual) == I
 
     def test_mask_and_count_stays_below_the_all_pairs_scan(self):
         """A Berge run with about 1k members on 18 vertices.  The drop test
         that scanned every kept member for every extension made 2,962,713
         mask & operations here; the filtered test must stay under a quarter
-        of that (it makes about 0.19 of it)."""
+        of that (the scan over the members that meet the new set once made
+        about 0.19 of it)."""
         rng = random.Random(5)
         family = [random_mask(rng, 18, 4) for _ in range(40)]
         CountingMask.ands = 0
@@ -109,6 +174,18 @@ class TestTransversalWork:
         assert len(got) == 982
         assert got == minimal_transversals(family)
         assert CountingMask.ands <= 2_962_713 // 4
+
+    def test_indexed_drop_test_stays_below_a_tenth_of_the_all_pairs_scan(self):
+        """The same run as above.  The scan over the kept members that meet
+        the new set once made 552,555 mask & operations; indexing the missing
+        members by vertex on the large steps must stay under a tenth of the
+        all-pairs 2,962,713 (it makes about 0.04 of it)."""
+        rng = random.Random(5)
+        family = [random_mask(rng, 18, 4) for _ in range(40)]
+        CountingMask.ands = 0
+        got = minimal_transversals([CountingMask(s) for s in family])
+        assert got == oracle_berge_scan(family)
+        assert CountingMask.ands <= 2_962_713 // 10
 
 
 OPTIMIZED_CHECKS = """
