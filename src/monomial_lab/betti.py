@@ -169,11 +169,10 @@ def _support_regularity(m: int, local, field: FieldSpec, best: int) -> int:
     """Largest of best and the rows of the Betti slots of S/I at sigma =
     supp(I) alone, the one slot set no one-vertex restriction of the ideal
     holds.  `local` holds the generators with the support relabelled onto
-    0..m-1, in canonical order.  Any relabelling will do: another one gives
-    an isomorphic complex, with the same homology over every field, and
-    changes only the cache key.  So the caller relabels by vertex degree,
-    and ideals that differ by a relabelling of that kind share one cache
-    entry (see `harness`)."""
+    0..m-1, in canonical order.  Any relabelling gives an isomorphic
+    complex, with the same homology over every field, so the caller scans
+    the ideal's twin, relabelled by decreasing vertex degree: the ideals
+    with one twin share its value and one cache entry (see `harness`)."""
     band = _band(m, best, _reg_row)
     if band is None:
         return best

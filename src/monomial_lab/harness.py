@@ -46,11 +46,18 @@ vertex v's degree in the ideal is `(index & containing[v]).bit_count()`,
 0 off the support, so the recursion lists no generators until all
 restrictions are linearly presented.
 
-Before the support is scanned, its vertices are relabelled in increasing
-(degree, vertex) order.  A relabelling gives an isomorphic complex, with
-the same homology over every field, so the value is unchanged.  Only the
-homology cache key changes, and the many ideals that differ by a
-relabelling of that kind share one cache entry.
+An ideal whose restrictions are all linearly presented is settled from
+its twin: the subset index of the same ideal with its support renumbered
+0..m-1 by decreasing vertex degree, ties by vertex (`_twin`).  A vertex
+permutation keeps linear presentation and the homology of every local
+complex over every field, so the twin has the ideal's value.  A twin
+below the index lies inside the store, which reaches past the index, so
+its value is read there or found by the same recursion, and the store
+still ends at the chunk's end; a twin above the index may lie past it, so
+it is not read.  The twin is its own twin, so the recursion into it ends
+after one level.  Only an ideal at or below its twin is searched and
+scanned, on the twin's generators, and the ideals with one twin share
+one homology cache entry.
 """
 
 from __future__ import annotations
@@ -79,7 +86,6 @@ from .core import (
     _check_ambient,
     _check_int,
     _is_int,
-    canon_key,
     report_json,
     squarefree_multiples,
     to_json,
@@ -216,16 +222,18 @@ class EnumerationSummary:
 
 @functools.cache
 def _sweep_tables(n: int, d: int):
-    """(d, monomials, containing, avoiding, adjacent) of the degree-d subset
-    space on n variables.  ANDed with an ideal's index, `containing[v]`
-    holds v's generators and `avoiding[v]` gives the index of its
-    restriction to the vertices but v.  `adjacent` is the generator graph of
-    all the monomials; its subgraph on an index's bits is the ideal's."""
+    """(d, monomials, containing, avoiding, adjacent, position) of the
+    degree-d subset space on n variables.  ANDed with an ideal's index,
+    `containing[v]` holds v's generators and `avoiding[v]` gives the index
+    of its restriction to the vertices but v.  `adjacent` is the generator
+    graph of all the monomials; its subgraph on an index's bits is the
+    ideal's.  `position` maps each monomial to its bit."""
     monomials = degree_monomial_masks(n, d)
     full = (1 << len(monomials)) - 1
     containing = tuple(sum(1 << i for i, m in enumerate(monomials) if m >> v & 1) for v in range(n))
     avoiding = tuple(full ^ c for c in containing)
-    return d, monomials, containing, avoiding, tuple(_adjacency(monomials, d))
+    position = {m: i for i, m in enumerate(monomials)}
+    return d, monomials, containing, avoiding, tuple(_adjacency(monomials, d)), position
 
 
 # The restriction store of each running `verify_range` call, keyed by its
@@ -246,20 +254,21 @@ def _open_store(n: int, d: int, p: int | None):
         del _STORES[key]
 
 
-def _relabelled_support(monomials: tuple[int, ...], index: int, keys) -> tuple[int, tuple[int, ...]]:
-    """(m, local): the generators of the ideal at `index` with its support
-    relabelled onto 0..m-1, the vertex of the i-th least (degree, vertex)
-    in `keys` (one per support vertex) becoming vertex i; canonical order."""
+def _twin(index: int, keys, monomials: tuple[int, ...], position: dict[int, int]) -> int:
+    """The subset index of the ideal at `index` with its support vertices
+    renumbered 0..m-1 in the order of `keys`, the (-degree, vertex) of each
+    support vertex: most generators first, ties by vertex.  In the twin the
+    degrees do not increase from vertex 0 on, so it is its own twin."""
     bit = {v: 1 << at for at, (_, v) in enumerate(sorted(keys))}
-    local = []
+    twin = 0
     for g in _subset_gens(monomials, index):
-        lg = 0
+        local = 0
         while g:
             one = g & -g
             g ^= one
-            lg |= bit[one.bit_length() - 1]
-        local.append(lg)
-    return len(keys), tuple(sorted(local, key=canon_key))
+            local |= bit[one.bit_length() - 1]
+        twin |= 1 << position[local]
+    return twin
 
 
 def _linear_reg(index: int, store: bytearray, tables, field: FieldSpec) -> int:
@@ -269,16 +278,18 @@ def _linear_reg(index: int, store: bytearray, tables, field: FieldSpec) -> int:
     which are read or found the same way, and written into it.  The store
     must reach past `index`; `tables` are `_sweep_tables(n, d)`.
 
-    The ideal is linearly presented when its restrictions are and its
-    generator graph, the subgraph of `adjacent` on the bits of `index`, is
-    connected (searched only if |supp| <= 2d).  Its regularity is then the
-    largest of d, its restrictions' values and the slots of sigma = supp,
-    relabelled by (degree, vertex)."""
+    When every restriction is linearly presented, the value is the twin's,
+    read or found as above when the twin lies below `index`.  Otherwise the
+    ideal is linearly presented when its generator graph, the subgraph of
+    `adjacent` on the bits of `index`, is connected (searched only if
+    |supp| <= 2d), and its regularity is then the largest of d, its
+    restrictions' values and the slots of sigma = supp, scanned on the
+    twin's generators."""
     if store[index]:
         return store[index] - 1
-    d, monomials, containing, avoiding, adjacent = tables
+    d, monomials, containing, avoiding, adjacent, position = tables
     best = d
-    keys = []  # (degree, vertex) of each support vertex
+    keys = []  # (-degree, vertex) of each support vertex
     for v, (has, lacks) in enumerate(zip(containing, avoiding)):
         degree = (index & has).bit_count()
         if not degree:
@@ -291,11 +302,15 @@ def _linear_reg(index: int, store: bytearray, tables, field: FieldSpec) -> int:
             break
         if value > best:
             best = value
-        keys.append((degree, v))
+        keys.append((-degree, v))
     else:
-        value = 0
-        if len(keys) > 2 * d or _spans(adjacent, index):
-            value = _support_regularity(*_relabelled_support(monomials, index, keys), field, best)
+        twin = _twin(index, keys, monomials, position)
+        if twin < index:
+            value = _linear_reg(twin, store, tables, field)
+        elif len(keys) > 2 * d or _spans(adjacent, index):
+            value = _support_regularity(len(keys), _subset_gens(monomials, twin), field, best)
+        else:
+            value = 0
     store[index] = value + 1
     return value
 
@@ -317,7 +332,7 @@ def _verify_chunk(task):
     for index in range(start, end + 1):
         lower = _lower_image(index, perms)
         reg = _linear_reg(lower or index, store, tables, field)
-        store[index] = reg + 1  # relabelling keeps the value
+        store[index] = reg + 1  # a lower image has the same value, as a twin does
         if not reg:
             continue
         n2_count += 1

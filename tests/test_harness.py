@@ -57,7 +57,6 @@ from monomial_lab.harness import (
     _linear_reg,
     _lower_image,
     _open_store,
-    _relabelled_support,
     _subset_gens,
     _sweep_tables,
 )
@@ -140,6 +139,35 @@ class TestRestrictionRecursion:
             assert store[index] == got + 1
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("order", ["decreasing", "shuffled"])
+    @pytest.mark.parametrize("n,d", [(5, 2), (5, 3)])
+    def test_twins_not_known_yet(self, n, d, order, field, monkeypatch):
+        """Out of index order, a twin below an index is often not in the
+        store yet, and is found by the recursion."""
+        tables = _sweep_tables(n, d)
+        monomials = tables[1]
+        store = full_store(monomials, d)
+        indices = list(range(1, len(store)))
+        if order == "decreasing":
+            indices.reverse()
+        else:
+            random.Random(f"unknown-twins/{n}/{d}").shuffle(indices)
+        unknown = []
+        twin_at = harness._twin
+
+        def spy(index, keys, monomials, position):
+            twin = twin_at(index, keys, monomials, position)
+            if twin < index and not store[twin]:
+                unknown.append(index)
+            return twin
+
+        monkeypatch.setattr(harness, "_twin", spy)
+        for index in indices:
+            got = _linear_reg(index, store, tables, field)
+            assert got == self.expected(_subset_gens(monomials, index), d, field), index
+        assert unknown
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
     @pytest.mark.parametrize("n,d", [(6, 3), (7, 2), (6, 4)])
     def test_seeded_indices(self, n, d, field):
         tables = _sweep_tables(n, d)
@@ -157,24 +185,62 @@ class TestRestrictionRecursion:
         assert linear  # the regularity side is exercised too
 
 
+def twin_of(index, tables):
+    """`harness._twin` of `index`, with the keys `_linear_reg` gives it."""
+    keys = [(-(index & c).bit_count(), v) for v, c in enumerate(tables[2]) if index & c]
+    return harness._twin(index, keys, tables[1], tables[5])
+
+
+class TestTwin:
+    """The twin of an ideal, its support renumbered by decreasing vertex
+    degree: its own twin, supported on 0..m-1 with degrees that do not
+    increase, and in the orbit of the ideal."""
+
+    @staticmethod
+    def check(n, d, indices):
+        tables = _sweep_tables(n, d)
+        containing = tables[2]
+        group = oracle_index_group(n, d) if n <= 6 else None
+        for index in indices:
+            twin = twin_of(index, tables)
+            m = sum(1 for c in containing if index & c)
+            assert twin_of(twin, tables) == twin, index
+            assert twin.bit_count() == index.bit_count(), index
+            supp = 0
+            for g in _subset_gens(tables[1], twin):
+                supp |= g
+            assert supp == (1 << m) - 1, index
+            degrees = [(twin & c).bit_count() for c in containing[:m]]
+            assert degrees == sorted(degrees, reverse=True), index
+            if group:
+                assert (oracle_canonical_subset_index(twin, group)
+                        == oracle_canonical_subset_index(index, group)), index
+
+    @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (4, 3), (5, 3)])
+    def test_every_index(self, n, d):
+        self.check(n, d, range(1, 1 << math.comb(n, d)))
+
+    @pytest.mark.parametrize("n,d", [(6, 3), (7, 2)])
+    def test_seeded_indices(self, n, d):
+        rng = random.Random(f"twin/{n}/{d}")
+        self.check(n, d, [rng.randrange(1, 1 << math.comb(n, d)) for _ in range(500)])
+
+
 class TestRelabelledSupportScan:
-    """The support scan on the support relabelled by (degree, vertex)
-    against the same scan relabelled in vertex order by `_remap`."""
+    """The support scan on the generators of the twin against the same
+    scan relabelled in vertex order by `_remap`."""
 
     @staticmethod
     def check(n, d, field, indices):
-        _, monomials, containing, _, _ = _sweep_tables(n, d)
+        tables = _sweep_tables(n, d)
+        monomials = tables[1]
         for index in indices:
             gens = _subset_gens(monomials, index)
             supp = 0
             for g in gens:
                 supp |= g
-            keys = [((index & c).bit_count(), v) for v, c in enumerate(containing) if index & c]
-            m, local = _relabelled_support(monomials, index, keys)
-            assert m == supp.bit_count() and len(local) == len(gens)
-            # local vertex i has the i-th least degree
-            degrees = [sum(g >> i & 1 for g in local) for i in range(m)]
-            assert degrees == sorted(degree for degree, _ in keys), index
+            m = supp.bit_count()
+            local = _subset_gens(monomials, twin_of(index, tables))
             band = _band(m, d, _reg_row)
             want = d if band is None else _sigma_max(*_remap(supp, gens), field, d, _reg_row, band)
             assert _support_regularity(m, local, field, d) == want, index
@@ -268,7 +334,7 @@ class TestSweepTables:
 
     @staticmethod
     def check(n, d, indices):
-        _, monomials, _, _, adjacent = _sweep_tables(n, d)
+        _, monomials, _, _, adjacent, _ = _sweep_tables(n, d)
         outcomes = set()
         for index in indices:
             connected = linearity._spans(adjacent, index)
@@ -706,8 +772,8 @@ class TestVerifyRange:
 
 class TestRestrictionStore:
     """The one restriction store of a `verify_range` call: its lifetime, its
-    sharing between chunks, and the cache entries the relabelled support
-    scans make."""
+    sharing between chunks, and the support scans of twins with the cache
+    entries they make."""
 
     @staticmethod
     def failing_write_after(monkeypatch, k):
@@ -727,6 +793,22 @@ class TestRestrictionStore:
         verify_range(6, 2)
         # 15,665 when each support was scanned with its own labels
         assert len(complexes._F2_DATA) <= 500
+
+    def test_6_2_scans_few_supports(self, monkeypatch):
+        scans = []
+        scan = harness._support_regularity
+
+        def counted(m, local, field, best):
+            scans.append(local)
+            return scan(m, local, field, best)
+
+        monkeypatch.setattr(harness, "_support_regularity", counted)
+        verify_range(6, 2)
+        # 19,257 scans, one per linearly presented ideal, before twins were
+        # read: now 456 twins are scanned, and 685 ideals lie below their
+        # twin, which may lie past the store's end
+        assert len(set(scans)) <= 500
+        assert len(scans) <= 1200
 
     def test_no_store_outlives_the_call(self, tmp_path, monkeypatch):
         seen = []
