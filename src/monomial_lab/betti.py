@@ -23,7 +23,8 @@ sigma (`complexes._remap`).  The Betti table reads the full homology
 profile of every sigma.  Regularity, projective dimension and the N_k
 criterion (all three live here, the only code that knows the slot
 rules below) maximize over the table (`_scan_max`) and prune the walk on the
-size of sigma alone, before its restricted generators are listed.  The
+size of sigma alone: it steps from one subset big enough to beat the best
+value to the next, and never lists the generators of a smaller one.  The
 ideal's index-0 Betti numbers sit exactly on the generators, at the rows
 of their degrees, where the scan starts; any other saturated sigma has
 ideal index i >= 1, so it lies on row |sigma| - i <= |sigma| - 1 and at
@@ -37,12 +38,25 @@ off the ideal's one-vertex restrictions (see `harness`).
 The scan also computes only the homology that can raise the best value.
 Profile index idx holds dim H~_{idx-1}, the homology carried by the faces
 of size idx, at quotient index m - idx and row idx + 1, where m = |sigma|.
-The band of a size m is the range of idx <= m - 2 whose slot scores above
-the best value:
+Two facts zero most slots before any boundary map is built.  Taylor's
+resolution of S/I (Taylor 1966; Miller-Sturmfels, Combinatorial
+Commutative Algebra, 2005) has one basis element at sigma for each set of
+generators whose lcm is sigma, at the set's size, so a nonzero slot has
+ceil(m / D) <= m - idx <= r, for r generators of degree at most D.  And
+every set of fewer than d_min vertices is a face, for d_min the smallest
+generator degree, so H~_{idx-1} = 0 for idx <= d_min - 2.  The reg and pd
+scans score such a slot 0 (`_reg_value`, `_pd_value`).  The band of a
+size m is the range of idx <= m - 2 whose slot scores above the best
+value:
 
-    regularity              [best, m - 2]
-    projective dimension    [0, m - best - 1]
+    regularity              [best, min(m - 2, m - ceil(m / D))]   Taylor
+    projective dimension    [max(d_min - 1, m - r), m - best - 1]  skeleton, Taylor
     N_k, generator degree d [max(d, m - k), m - 2]   (best is d until the end)
+
+So a pd scan ends once best = min(r, |supp| - d_min + 1), often at the
+first sigma, the support.  N_k keeps its rule-free band: the Taylor window
+[max(d, m - k), m - ceil(m / d)] is empty for m > k d, so its maximum would
+fall as m grows, which the walk's size floor does not allow.
 
 A band [lo, hi] needs the boundary ranks of the maps lo..hi+1, so only the
 faces of sizes lo-1..hi+1 are listed and reduced (see `complexes`).  The
@@ -70,33 +84,53 @@ from .complexes import (
 from .core import Ideal, InputError, MaskIndex, _check_ideal, canon_key, mask_to_vars, to_json
 
 
+def _at_least(sigma: int, supp: int, size: int) -> int:
+    """The largest submask of supp that is at most sigma (a submask of
+    supp) and has at least `size` vertices, or -1 when there is none.
+
+    Below sigma, the largest submask that first differs from sigma at one
+    of its vertices v drops v and takes every vertex of supp below v; the
+    lower v is, the larger it is, so the lowest v that leaves enough
+    vertices wins."""
+    if sigma.bit_count() >= size:
+        return sigma
+    rest = sigma
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        below = rest | (supp & (low - 1))
+        if below.bit_count() >= size:
+            return below
+    return -1
+
+
 def _saturated_sigmas(gen_masks, supp: int, floor=(0,)):
     """Yield (sigma, m, local) for every sigma of at least floor[0] vertices
     whose vertices are all covered by generators supported inside sigma
     (sigma = 0 included when floor[0] is 0): m = |sigma|, and local holds
     the generators inside sigma, in the order of gen_masks, relabelled onto
     0..m-1 by `_remap`.  floor[0] is read again for every sigma, so a caller
-    may raise it mid-walk; smaller subsets are rejected on their size alone,
-    before their generators are listed."""
+    may raise it mid-walk; the walk steps straight to the next subset of at
+    least floor[0] vertices (`_at_least`), so smaller subsets are never
+    visited."""
     index = MaskIndex(gen_masks)
-    sigma = supp
-    while True:
-        if sigma.bit_count() >= floor[0]:
-            inside = index.inside(sigma)
-            restricted = []
-            union = 0
-            while inside:
-                low = inside & -inside
-                inside ^= low
-                g = gen_masks[low.bit_length() - 1]
-                union |= g
-                restricted.append(g)
-            if union == sigma:
-                m, local = _remap(sigma, restricted)
-                yield sigma, m, local
+    sigma = _at_least(supp, supp, floor[0])
+    while sigma >= 0:
+        inside = index.inside(sigma)
+        restricted = []
+        union = 0
+        while inside:
+            low = inside & -inside
+            inside ^= low
+            g = gen_masks[low.bit_length() - 1]
+            union |= g
+            restricted.append(g)
+        if union == sigma:
+            m, local = _remap(sigma, restricted)
+            yield sigma, m, local
         if sigma == 0:
             return
-        sigma = (sigma - 1) & supp
+        sigma = _at_least((sigma - 1) & supp, supp, floor[0])
 
 
 def _band(m: int, best: int, value):
@@ -165,6 +199,29 @@ def _reg_row(m: int, idx: int) -> int:
     return idx + 1
 
 
+def _reg_value(top_degree: int):
+    """The regularity scan's slot score for generators of degree at most
+    `top_degree`: the row (`_reg_row`), or 0 where Taylor's resolution
+    leaves the slot zero.  Its quotient index m - idx is the size of a set
+    of generators whose lcm is sigma, so at least ceil(m / top_degree)."""
+    def value(m: int, idx: int) -> int:
+        return idx + 1 if (m - idx) * top_degree >= m else 0
+
+    return value
+
+
+def _pd_value(count: int, low_degree: int):
+    """The projective-dimension scan's slot score for `count` generators of
+    degree at least `low_degree`: the quotient index m - idx, or 0 where it
+    exceeds the generators (Taylor's resolution) or where every face of
+    size idx lies in the full skeleton below `low_degree` (idx <=
+    low_degree - 2), whose homology vanishes."""
+    def value(m: int, idx: int) -> int:
+        return m - idx if m - idx <= count and idx >= low_degree - 1 else 0
+
+    return value
+
+
 def _support_regularity(m: int, local, field: FieldSpec, best: int) -> int:
     """Largest of best and the rows of the Betti slots of S/I at sigma =
     supp(I) alone, the one slot set no one-vertex restriction of the ideal
@@ -173,10 +230,11 @@ def _support_regularity(m: int, local, field: FieldSpec, best: int) -> int:
     complex, with the same homology over every field, so the caller scans
     the ideal's twin, relabelled by decreasing vertex degree: the ideals
     with one twin share its value and one cache entry (see `harness`)."""
-    band = _band(m, best, _reg_row)
+    value = _reg_value(max(g.bit_count() for g in local))
+    band = _band(m, best, value)
     if band is None:
         return best
-    return _sigma_max(m, local, field, best, _reg_row, band)
+    return _sigma_max(m, local, field, best, value, band)
 
 
 @dataclass
@@ -281,7 +339,8 @@ def betti_table(
 def regularity_masks(gens: tuple[int, ...], field: FieldSpec = RATIONALS) -> int:
     """Mask-level regularity; `gens` must be a nonempty minimal generating
     set (antichain of bitmasks), in any order."""
-    return _scan_max(gens, field, max(g.bit_count() for g in gens), _reg_row)
+    top_degree = max(g.bit_count() for g in gens)
+    return _scan_max(gens, field, top_degree, _reg_value(top_degree))
 
 
 def regularity(I: Ideal, field: FieldSpec = RATIONALS) -> int:
@@ -295,7 +354,7 @@ def regularity(I: Ideal, field: FieldSpec = RATIONALS) -> int:
 def projective_dimension_masks(gens: tuple[int, ...], field: FieldSpec = RATIONALS) -> int:
     # the generators of I are first syzygies of S/I; a slot of H~_{idx-1}
     # lies at quotient index m - idx
-    return _scan_max(gens, field, 1, lambda m, idx: m - idx)
+    return _scan_max(gens, field, 1, _pd_value(len(gens), min(g.bit_count() for g in gens)))
 
 
 def projective_dimension(I: Ideal, field: FieldSpec = RATIONALS) -> int:

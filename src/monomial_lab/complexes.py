@@ -369,9 +369,13 @@ _BYTE_BITS = [tuple(b for b in range(8) if x >> b & 1) for x in range(256)]
 
 def _faces_by_size(m: int, bitmap: int) -> list[list[int]]:
     """Face masks grouped by cardinality 0..m, each group in ascending mask
-    order.  The bitmap is read once, a byte at a time."""
+    order.  The bitmap is read once, a byte at a time, from its lowest
+    nonzero byte to its highest: a band of sizes the complex lacks leaves
+    an empty bitmap, which costs no loop."""
     groups: list[list[int]] = [[] for _ in range(m + 1)]
-    for index, byte in enumerate(bitmap.to_bytes(((1 << m) + 7) >> 3, "little")):
+    data = bitmap.to_bytes((bitmap.bit_length() + 7) >> 3, "little")
+    trimmed = data.lstrip(b"\0")
+    for index, byte in enumerate(trimmed, len(data) - len(trimmed)):
         if byte:
             base = index << 3
             for b in _BYTE_BITS[byte]:

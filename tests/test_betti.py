@@ -22,6 +22,10 @@ from oracles import (
 )
 
 from monomial_lab.betti import (
+    _band,
+    _pd_value,
+    _reg_row,
+    _reg_value,
     betti_table,
     nk_betti_masks,
     projective_dimension,
@@ -368,6 +372,131 @@ class TestBandedScan:
             assert 0 < 4 * listed[0] <= whole, (scan.__name__, listed[0])
 
 
+def blocks(degrees, overlap=0):
+    """Generators on consecutive runs of variables of the given degrees,
+    each run sharing `overlap` variables with the one before: overlap 0 is
+    a complete intersection."""
+    masks, start = [], 0
+    for a in degrees:
+        masks.append(((1 << a) - 1) << start)
+        start += a - overlap
+    return tuple(masks)
+
+
+DISJOINT = blocks((6, 6, 6, 6))  # 24 variables
+CHAIN = blocks((7, 7, 7, 7), overlap=1)  # 25 variables
+
+
+class TestTaylorAndSkeletonCuts:
+    """The reg and pd scans score 0 on the slots that Taylor's resolution
+    (quotient index between ceil(m / D) and r) and the full skeleton below
+    the smallest generator degree leave zero."""
+
+    def test_against_unpruned_scans_where_the_cuts_bite(self):
+        """Seeded ideals of mixed degrees 1..6 with fewer generators than
+        support vertices, on up to 14 of them: a complete intersection on a
+        random partition plus up to two random generators.  Over Q, GF(2)
+        and GF(3) both scans equal the rule-free unpruned ones, and in most
+        trials the cuts narrow or empty the band of the whole support at the
+        answer, where the rule-free band still scans."""
+        rng = random.Random(70)
+        bites = {"reg": 0, "pd": 0}
+        for _ in range(30):
+            n = rng.randint(8, 14)
+            while True:
+                order = rng.sample(range(n), n)
+                picks = []
+                while order:
+                    size = min(rng.randint(1, 6), len(order))
+                    picks.append(sum(1 << v for v in order[:size]))
+                    del order[:size]
+                picks += [random_mask(rng, n, rng.randint(2, 6)) for _ in range(rng.randint(0, 2))]
+                gens = minimalize(picks)
+                supp = 0
+                for g in gens:
+                    supp |= g
+                if len({g.bit_count() for g in gens}) > 1 and len(gens) < supp.bit_count():
+                    break
+            shuffled = list(gens)
+            rng.shuffle(shuffled)
+            for field in (RATIONALS, GF2, FieldSpec(3)):
+                reg = regularity_masks(tuple(shuffled), field)
+                pd = projective_dimension_masks(tuple(shuffled), field)
+                assert reg == unpruned_regularity(gens, field), (gens, field)
+                assert pd == unpruned_projective_dimension(gens, field), (gens, field)
+            top = supp.bit_count()
+            degrees = [g.bit_count() for g in gens]
+            bites["reg"] += _band(top, reg, _reg_value(max(degrees))) != _band(top, reg, _reg_row)
+            rule_free = _band(top, pd, lambda m, idx: m - idx)
+            bites["pd"] += rule_free is not None and _band(
+                top, pd, _pd_value(len(gens), min(degrees))) is None
+        assert bites["reg"] >= 10 and bites["pd"] >= 15, bites
+
+    def test_pd_reduces_only_the_support(self, monkeypatch):
+        """A count guard: on 4 disjoint degree-6 monomials and on the chain
+        of 4 degree-7 monomials sharing one variable with each neighbour,
+        the pd scan reduces the complex of sigma = supp alone, where it
+        finds pd = r = 4, the largest value the cuts leave."""
+        from monomial_lab import betti
+
+        sizes = []
+        sigma_max = betti._sigma_max
+
+        def spy(m, local, field, best, value, band):
+            sizes.append(m)
+            return sigma_max(m, local, field, best, value, band)
+
+        monkeypatch.setattr(betti, "_sigma_max", spy)
+        for gens, m in ((DISJOINT, 24), (CHAIN, 25)):
+            sizes.clear()
+            assert projective_dimension_masks(gens) == 4
+            assert sizes == [m]
+
+    @pytest.mark.parametrize("degrees", [(2, 3, 4), (1, 2, 3, 4, 5, 6), (1, 2, 3, 8, 10)])
+    @pytest.mark.parametrize("field", [RATIONALS, GF2, FieldSpec(3)], ids=str)
+    def test_complete_intersections(self, degrees, field):
+        """reg = sum(deg - 1) + 1 and pd = r, on up to 24 variables."""
+        gens = blocks(degrees)
+        assert regularity_masks(gens, field) == sum(a - 1 for a in degrees) + 1
+        assert projective_dimension_masks(gens, field) == len(degrees)
+
+    def test_chain_regularity(self):
+        """The chain's regularity, 22 = 25 - 4 + 1, the top row the Taylor
+        cut leaves; its pd, 4, is pinned by the count guard above."""
+        assert regularity_masks(CHAIN) == 22
+
+    def test_value_maxima_never_fall(self):
+        """`_scan_max` needs each value function's maximum over idx <= m - 2
+        to be non-decreasing in m.  The reg maximum sits at the highest live
+        idx, min(m - 2, m - ceil(m / D)), one row above it; the pd maximum
+        is min(m, r, m - d_min + 1) when that leaves a slot (quotient index
+        >= 2), and 0 otherwise."""
+        def maximum(value, m):
+            return max((value(m, idx) for idx in range(m - 1)), default=0)
+
+        for top_degree in range(1, 9):
+            value, last = _reg_value(top_degree), 0
+            for m in range(31):
+                best = maximum(value, m)
+                assert best >= last, (top_degree, m)
+                last = best
+                live = [idx for idx in range(m - 1) if value(m, idx)]
+                if m >= 2:
+                    assert live[-1] == min(m - 2, m - -(-m // top_degree)), (top_degree, m)
+                    assert best == live[-1] + 1
+                else:
+                    assert best == 0
+        for count in range(1, 12):
+            for low_degree in range(1, 9):
+                value, last = _pd_value(count, low_degree), 0
+                for m in range(31):
+                    best = maximum(value, m)
+                    assert best >= last, (count, low_degree, m)
+                    last = best
+                    want = min(m, count, m - low_degree + 1)
+                    assert best == (want if want >= 2 else 0), (count, low_degree, m)
+
+
 class TestSaturatedWalk:
     def test_raised_floor_lists_no_smaller_sigma(self, monkeypatch):
         """Once the floor is raised after the first yield, no sigma below it
@@ -407,6 +536,19 @@ class TestSaturatedWalk:
             assert set(rest) <= set(listed)
             assert [first] + rest == [full[0][0]] + [
                 sigma for sigma, _, _ in full[1:] if sigma.bit_count() >= floor[0]]
+
+    def test_at_least_is_the_largest_big_enough_submask_below(self):
+        """`_at_least` against a scan of every submask of the support."""
+        from monomial_lab.betti import _at_least
+
+        rng = random.Random(62)
+        for _ in range(200):
+            supp = random_mask(rng, 12, rng.randint(0, 8))
+            subs = [s for s in range(supp + 1) if s & ~supp == 0]
+            sigma = rng.choice(subs)
+            size = rng.randint(0, supp.bit_count() + 1)
+            want = max((s for s in subs if s <= sigma and s.bit_count() >= size), default=-1)
+            assert _at_least(sigma, supp, size) == want, (supp, sigma, size)
 
     def test_matches_reference_walk(self):
         """The walk gives the reference walk's (sigma, m, local generators

@@ -297,7 +297,10 @@ class TestHomology:
 # Runs under `python -O`: regularity of two disjoint edges (reg 3, a GF(2)
 # hit confirmed over Q as the walk meets it) and of the RP^2 face ideal (reg
 # 3 over Q: the GF(2) hit at row 4 is 2-torsion, refused by the
-# confirmation), then three skews on two disjoint edges.  "euler": the Betti
+# confirmation), the pd of four disjoint degree-6 monomials (4, found at the
+# whole support, where the Taylor cut ends the scan) and the regularity of
+# a complete intersection of degrees 2, 3 and 4 (7, at the top row the cut
+# leaves), then four skews.  "euler": the Betti
 # table over Q with every nonzero rational rank one too small; no dimension
 # goes negative and the ones certified zero over GF(2) are not recomputed, so
 # only the Euler characteristic of the full profile sees it.  "negative": a
@@ -306,11 +309,13 @@ class TestHomology:
 # two disjoint filled triangles, whose relative complex (the second triangle,
 # off the star of vertex 0) has its top map reduced by a banded request and
 # stored; then a full profile with every GF(32003) rank full, which fits each
-# matrix shape but not the stored rank above it.
+# matrix shape but not the stored rank above it.  "cut": the rational rank
+# of "negative" in the pd scan of the disjoint monomials, on the one sigma
+# the cut leaves.
 FORCED_MISMATCH = """
 import sys
 from monomial_lab import complexes
-from monomial_lab.betti import betti_table, regularity
+from monomial_lab.betti import betti_table, projective_dimension, regularity
 from monomial_lab.complexes import FieldSpec
 from monomial_lab.core import Ideal, InternalCheckError
 from monomial_lab.transversals import minimal_transversals
@@ -320,6 +325,9 @@ print("optimize", sys.flags.optimize, "reg", regularity(I))
 facets = [sum(1 << (v - 1) for v in f) for f in %r]
 rp2 = Ideal.from_masks(6, minimal_transversals([0b111111 ^ f for f in facets]))
 print("rp2 reg", regularity(rp2))
+disjoint = Ideal.from_masks(24, [0b111111 << 6 * j for j in range(4)])
+print("disjoint pd", projective_dimension(disjoint))
+print("ci reg", regularity(Ideal.from_masks(9, (0b11, 0b11100, 0b111100000))))
 exact_rank_q = complexes._exact_rank_q
 cases = {
     "euler": ("_exact_rank_q", lambda m, nf, s: max(exact_rank_q(m, nf, s) - 1, 0),
@@ -330,6 +338,7 @@ cases = {
     "stored": ("rank_mod_p",
                lambda cols, p: range(min(len(cols), len({r for c in cols for r in c}))),
                lambda: complexes.homology_profile(6, triangles, FieldSpec(32003))),
+    "cut": ("_exact_rank_q", lambda m, nf, s: 10**6, lambda: projective_dimension(disjoint)),
 }
 triangles = tuple(1 << a | 1 << b for b in range(3, 6) for a in range(3))
 for label, (name, fake, call) in cases.items():
@@ -354,13 +363,16 @@ class TestChecksSurviveOptimize:
         proc = subprocess.run([sys.executable, "-O", "-c", FORCED_MISMATCH],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:6] == [
+        assert proc.stdout.split("\n")[:9] == [
             "optimize 1 reg 3",
             "rp2 reg 3",
+            "disjoint pd 4",
+            "ci reg 7",
             "euler raised InternalCheckError Euler",
             "negative raised InternalCheckError negative",
             "banded raised InternalCheckError rank",
             "stored raised InternalCheckError negative",
+            "cut raised InternalCheckError negative",
         ]
 
 
