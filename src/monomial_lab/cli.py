@@ -44,8 +44,9 @@ def _verdict(ok: bool) -> int:
     return EXIT_OK if ok else EXIT_FALSE
 
 
-# Each command maps (args, ideal) to (JSON text or dict, plain text, exit
-# code); `ideal` is the parsed FILE argument, None for commands without one.
+# Each command maps (args, ideal) to (a dict or a report with `to_json`,
+# plain text, exit code); `ideal` is the parsed FILE argument, None for
+# commands without one.  `main` renders the JSON only under --json.
 
 
 def cmd_value(fn, key, args, ideal):
@@ -56,7 +57,7 @@ def cmd_value(fn, key, args, ideal):
 
 def cmd_betti(args, ideal):
     table = betti_table(ideal, args.field, fine=args.fine, quotient=args.quotient)
-    return table.to_json(), table.format_grid(), EXIT_OK
+    return table, table.format_grid(), EXIT_OK
 
 
 def cmd_n2(args, ideal):
@@ -76,7 +77,7 @@ def cmd_dual(args, ideal):
     report = height_profile(ideal)
     human = (format_ideal(report.dual)
              + f"# height {report.height}  bigheight {report.bigheight}  pure {report.pure}")
-    return report.to_json(), human, EXIT_OK
+    return report, human, EXIT_OK
 
 
 def cmd_s2(args, ideal):
@@ -124,7 +125,7 @@ def cmd_report(check, name, show_g, args, ideal):
     g = f"  g {r.g_value}" if show_g else ""
     human = (f"{name} {r.reg}  bound max({r.d}, f({r.n},{r.d})={r.f_value}) = {r.bound}{g}"
              f"  holds {r.theorem_holds}  tight {r.tight}")
-    return r.to_json(), human, _verdict(r.theorem_holds)
+    return r, human, _verdict(r.theorem_holds)
 
 
 def cmd_verify(args, ideal):
@@ -140,7 +141,7 @@ def cmd_verify(args, ideal):
         f"(bound {summary.bound}), violations={len(summary.violations)}, "
         f"elapsed {summary.elapsed:.1f}s"
     )
-    return summary.to_json(), human, _verdict(summary.violations_empty)
+    return summary, human, _verdict(summary.violations_empty)
 
 
 def cmd_gcd_sweep(args, ideal):
@@ -151,7 +152,7 @@ def cmd_gcd_sweep(args, ideal):
         f"{report.witnesses_found} witnesses, "
         f"{len(report.violations)} violations, elapsed {report.elapsed:.1f}s"
     )
-    return report.to_json(), human, _verdict(report.violations_empty)
+    return report, human, _verdict(report.violations_empty)
 
 
 def cmd_search(args, ideal):
@@ -164,7 +165,7 @@ def cmd_search(args, ideal):
         f"{report.n2_count} linearly presented, max_reg={report.max_reg} "
         f"(bound {report.bound})\nbest: {best}"
     )
-    return report.to_json(), human, EXIT_OK
+    return report, human, EXIT_OK
 
 
 def cmd_paper_suite(args, ideal):
@@ -301,7 +302,7 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.json:
-        print(doc if isinstance(doc, str) else to_json(doc))
+        print(doc.to_json() if hasattr(doc, "to_json") else to_json(doc))
     else:
         print(human)
     return code

@@ -58,6 +58,18 @@ it is not read.  The twin is its own twin, so the recursion into it ends
 after one level.  Only an ideal at or below its twin is searched and
 scanned, on the twin's generators, and the ideals with one twin share
 one homology cache entry.
+
+A campaign's results stay subset indices to the end.  `_merge` appends
+each chunk's extremal indices as one `array('q')` to a tuple, so it never
+copies the indices kept so far, and the summary's `extremal` is an
+`IndexedIdeals`: its length builds nothing, and each `Ideal` is built
+when it is read.  Every JSON record, the summary's and the stream's, takes
+its generator lists from one table of the degree-d monomials' strings per
+(n, d) (`_names`) and goes through `core.to_json`.  An ideal's JSON is the
+list of its generators' strings in canonical order, which is subset-index
+bit order, so no `Monomial` or `Ideal` is built on the output path.  The
+checkpoint still writes `extremal_so_far` as one JSON list, which a resume
+turns back into an array.
 """
 
 from __future__ import annotations
@@ -68,10 +80,13 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import re
 import time
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -196,6 +211,49 @@ def _lower_image(index: int, perms) -> int:
 # --- exhaustive verification ---------------------------------------------------
 
 
+@functools.cache
+def _names(n: int, d: int) -> tuple[str, ...]:
+    """The string of each degree-d monomial on n variables, in the order of
+    `degree_monomial_masks(n, d)`: `_subset_gens(_names(n, d), index)` is
+    the JSON generator list of the ideal at `index`."""
+    return tuple(str(Monomial(n, m)) for m in degree_monomial_masks(n, d))
+
+
+class IndexedIdeals(Sequence):
+    """A read-only sequence of pure degree-d ideals on n variables, kept as
+    their subset indices (an `array('q')`).  `len` builds nothing; indexing
+    and iteration build each `Ideal` when it is read, and a slice is another
+    `IndexedIdeals`.  It compares equal to any sequence of the same ideals."""
+
+    __slots__ = ("n", "d", "indices")
+    __hash__ = None  # equal to tuples of the same ideals, whose hashes differ
+
+    def __init__(self, n: int, d: int, indices: array):
+        self.n, self.d, self.indices = n, d, indices
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def _ideal(self, index: int) -> Ideal:
+        return Ideal.from_masks(self.n, _subset_gens(_sweep_tables(self.n, self.d)[1], index))
+
+    def __getitem__(self, at):
+        if isinstance(at, slice):
+            return IndexedIdeals(self.n, self.d, self.indices[at])
+        return self._ideal(self.indices[at])
+
+    def __iter__(self):
+        return map(self._ideal, self.indices)
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"IndexedIdeals(n={self.n}, d={self.d}, {len(self)} ideals)"
+
+
 @dataclass
 class EnumerationSummary:
     n: int
@@ -206,7 +264,7 @@ class EnumerationSummary:
     n2_count: int
     max_reg: int
     bound: int
-    extremal: tuple[Ideal, ...]
+    extremal: IndexedIdeals
     violations: tuple[tuple[Ideal, int], ...]
     cursor: int
     elapsed: float
@@ -216,8 +274,12 @@ class EnumerationSummary:
         return not self.violations
 
     def to_json(self) -> str:
-        """Deterministic serialization (wall-clock time excluded)."""
-        return report_json(self, violations=[{"gens": I, "reg": reg} for I, reg in self.violations])
+        """Deterministic serialization (wall-clock time excluded), with the
+        extremal ideals' generator lists read from `_names`."""
+        names = _names(self.n, self.d)
+        return report_json(self,
+                           extremal=[_subset_gens(names, i) for i in self.extremal.indices],
+                           violations=[{"gens": I, "reg": reg} for I, reg in self.violations])
 
 
 @functools.cache
@@ -414,7 +476,10 @@ def _read_checkpoint(path: str, stamp: dict, total: int) -> dict:
 
 
 def _merge(state: dict, partial: dict) -> dict:
-    """The campaign state after the next chunk in index order.
+    """The campaign state after the next chunk in index order.  Its
+    `extremal_so_far` is a tuple of `array('q')`s, one per chunk that
+    reached the running max, so a merge appends one array instead of
+    copying every index kept so far.
 
     Does no I/O and never mutates its arguments, so a state may be shared.
     """
@@ -422,9 +487,9 @@ def _merge(state: dict, partial: dict) -> dict:
     chunk_max = partial["max_reg"]
     extremal = state["extremal_so_far"]
     if chunk_max > top:
-        extremal = partial["extremal"]
+        extremal = (array("q", partial["extremal"]),)
     elif chunk_max == top >= 0:
-        extremal = extremal + partial["extremal"]
+        extremal = extremal + (array("q", partial["extremal"]),)
     return {
         "cursor": partial["end"] + 1,
         "checked": state["checked"] + partial["checked"],
@@ -435,15 +500,15 @@ def _merge(state: dict, partial: dict) -> dict:
     }
 
 
-def _stream_lines(n: int, monomials: tuple[int, ...], partial: dict, running_max: int):
+def _stream_lines(names: tuple[str, ...], partial: dict, running_max: int):
     """A chunk's stream records, as encoded lines: its extremal ideals when
-    they reach the running max at merge time, then its violations."""
+    they reach the running max at merge time, then its violations.  Each
+    ideal's generators are read from `names` (`_names(n, d)`)."""
     extremal = partial["extremal"] if partial["max_reg"] == running_max else ()
     records = [("extremal", idx, running_max) for idx in extremal]
     records += [("violation", idx, reg) for idx, reg in partial["violations"]]
     for kind, idx, reg in records:
-        gens = [Monomial(n, m) for m in _subset_gens(monomials, idx)]
-        doc = {"type": kind, "index": idx, "reg": reg, "gens": gens}
+        doc = {"type": kind, "index": idx, "reg": reg, "gens": _subset_gens(names, idx)}
         yield (to_json(doc) + "\n").encode()
 
 
@@ -466,7 +531,9 @@ def verify_range(
     docstring), which the chunks run in one process share and which is
     dropped when the call ends, normally or by an error.  The summary
     (including the extremal ideals and any violations) is byte-identical
-    for any worker count and for checkpointed-and-resumed runs.  With
+    for any worker count and for checkpointed-and-resumed runs; its
+    `extremal` holds subset indices and builds each `Ideal` on access
+    (`IndexedIdeals`).  With
     symmetry="orbits" (n <= 7), only the least subset index of each orbit
     under the variable permutations is computed, and each other index takes
     the value of a lower image: counts, violations and stream are those of
@@ -498,6 +565,8 @@ def verify_range(
             raise CheckpointError("resume requested without a checkpoint path")
         doc = _read_checkpoint(checkpoint_path, stamp, total)
     state = {key: doc.get(key, default) for key, default in _START_STATE.items()}
+    state["extremal_so_far"] = (array("q", state["extremal_so_far"]),)
+    names = _names(n, d)
 
     # the store, the stream and the worker pool are released on one path,
     # error or not; the pool's workers fork with the store open
@@ -530,17 +599,17 @@ def verify_range(
         for partial in results:
             state = _merge(state, partial)
             if stream is not None:
-                for line in _stream_lines(n, monomials, partial, state["running_max"]):
+                for line in _stream_lines(names, partial, state["running_max"]):
                     stream.write(line)
                     sha.update(line)
                 stream.flush()
                 mark = {"stream_length": stream.tell(), "stream_sha256": sha.hexdigest()}
             if checkpoint_path is not None:
-                _write_checkpoint(checkpoint_path, {**stamp, **state, **mark})
+                extremal = list(itertools.chain.from_iterable(state["extremal_so_far"]))
+                _write_checkpoint(checkpoint_path,
+                                  {**stamp, **state, "extremal_so_far": extremal, **mark})
 
-    extremal = tuple(
-        Ideal.from_masks(n, _subset_gens(monomials, idx)) for idx in state["extremal_so_far"]
-    )
+    extremal = array("q", itertools.chain.from_iterable(state["extremal_so_far"]))
     violations = tuple(
         (Ideal.from_masks(n, _subset_gens(monomials, idx)), reg)
         for idx, reg in state["violations"]
@@ -554,7 +623,7 @@ def verify_range(
         n2_count=state["n2_count"],
         max_reg=state["running_max"],
         bound=bound,
-        extremal=extremal,
+        extremal=IndexedIdeals(n, d, extremal),
         violations=violations,
         cursor=state["cursor"],
         elapsed=time.monotonic() - t0,

@@ -6,8 +6,10 @@ and freeze expected values."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 
 # minimal 6-vertex triangulation of the real projective plane: 10 facets,
@@ -253,6 +255,55 @@ def oracle_orbit(index: int, perms) -> set[int]:
 def oracle_canonical_subset_index(index: int, perms) -> int:
     """Least subset index over all images of `index` under `perms`."""
     return min(oracle_orbit(index, perms))
+
+
+def oracle_campaign_bytes(stamp: dict, bound: int, partials):
+    """The summary JSON, stream bytes and final checkpoint bytes of an
+    exhaustive campaign (`stamp`: n, d, field, chunk_size, symmetry) whose
+    chunks returned `partials` (`harness._verify_chunk` dicts, in index
+    order), rendered the reference way: the state folded by copying list
+    concatenation, and every ideal built as an `Ideal` of `Monomial`s and
+    written by `core.to_json` through its default hook."""
+    from monomial_lab.core import Ideal, Monomial, to_json
+
+    n, d = stamp["n"], stamp["d"]
+    pool = [m for m in range(1 << n) if popcount(m) == d]  # ascending masks
+
+    @cache
+    def ideal(index):
+        return Ideal.from_masks(n, [m for i, m in enumerate(pool) if index >> i & 1])
+
+    top, checked, n2_count, extremal, violations = -1, 0, 0, [], []
+    lines = []
+    for part in partials:
+        if part["max_reg"] > top:
+            extremal = list(part["extremal"])
+        elif part["max_reg"] == top >= 0:
+            extremal = extremal + list(part["extremal"])
+        top = max(top, part["max_reg"])
+        checked += part["checked"]
+        n2_count += part["n2_count"]
+        violations = violations + [list(v) for v in part["violations"]]
+        records = [("extremal", i, top) for i in part["extremal"] if part["max_reg"] == top]
+        records += [("violation", i, reg) for i, reg in part["violations"]]
+        for kind, i, reg in records:
+            doc = {"type": kind, "index": i, "reg": reg, "gens": list(ideal(i).gens)}
+            lines.append((to_json(doc) + "\n").encode())
+    stream = b"".join(lines)
+    cursor = partials[-1]["end"] + 1
+    checkpoint = to_json({
+        **stamp, "cursor": cursor, "checked": checked, "n2_count": n2_count,
+        "running_max": top, "extremal_so_far": extremal, "violations": violations,
+        "stream_length": len(stream), "stream_sha256": hashlib.sha256(stream).hexdigest(),
+    })
+    summary = to_json({
+        "n": n, "d": d, "field": stamp["field"], "total_ideals": (1 << len(pool)) - 1,
+        "checked": checked, "n2_count": n2_count, "max_reg": top, "bound": bound,
+        "extremal": [ideal(i) for i in extremal],
+        "violations": [{"gens": ideal(i), "reg": reg} for i, reg in violations],
+        "cursor": cursor,
+    })
+    return summary, stream, checkpoint.encode()
 
 
 def random_mask(rng: random.Random, n: int, degree: int) -> int:

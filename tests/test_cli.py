@@ -2,6 +2,7 @@
 schemas, and the file format."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -193,6 +194,23 @@ class TestHarnessCommands:
         doc = json.loads(out)
         assert code == 0
         assert doc["max_reg"] == 2 and doc["violations"] == []
+
+    def test_verify_renders_json_only_under_json(self, capsys, monkeypatch):
+        """Plain `verify` never renders the summary JSON, which can be far
+        larger than the run's memory otherwise; `--json` renders it once."""
+        rendered = []
+        to_json = harness.EnumerationSummary.to_json
+        monkeypatch.setattr(harness.EnumerationSummary, "to_json",
+                            lambda self: rendered.append(self) or to_json(self))
+        code, out, _ = run_cli(capsys, "verify", "--n", "5", "--d", "3")
+        assert code == 0 and rendered == []
+        assert re.fullmatch(r"n=5 d=3 field=Q: 1023/1023 checked, \d+ linearly presented, "
+                            r"max_reg=3 \(bound 3\), violations=0, elapsed \d+\.\ds\n", out)
+        code, out, _ = run_cli(capsys, "--json", "verify", "--n", "5", "--d", "3")
+        assert code == 0 and len(rendered) == 1
+        # the pinned summary digest of (5, 3) in test_harness
+        assert hashlib.sha256(out.removesuffix("\n").encode()).hexdigest() == (
+            "cda3d349a3b911a26f82de2f4464659dfd7d11d261599fc89045e4cba9a6544a")
 
     def test_verify_reports_pentagon(self, capsys):
         code, out, _ = run_cli(capsys, "--json", "verify", "--n", "5", "--d", "2")

@@ -2,7 +2,9 @@
 the built-in golden example, and the gcd witness sweep."""
 
 import ast
+import copy
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -12,10 +14,14 @@ import random
 import signal
 import subprocess
 import sys
+import tracemalloc
+from array import array
+from collections.abc import Sequence
 from multiprocessing import get_context
 
 import pytest
 from oracles import (
+    oracle_campaign_bytes,
     oracle_canonical_subset_index,
     oracle_cochordal_complement,
     oracle_gap_free,
@@ -25,7 +31,7 @@ from oracles import (
 )
 
 import monomial_lab
-from monomial_lab import complexes, linearity
+from monomial_lab import complexes, core, linearity
 from monomial_lab.betti import (
     _band,
     _reg_row,
@@ -863,6 +869,140 @@ class TestRestrictionStore:
         # with no store open, each call keeps one of its own
         assert [harness._verify_chunk(task(s)) for s in reversed(starts)] == in_order[::-1]
         assert harness._STORES == {}
+
+
+# cases of the differential byte tests: (n, d, chunk_size)
+CAMPAIGNS = [(5, 2, 100), (5, 3, 100), (6, 2, 4096), (6, 4, 4096)]
+
+
+def chunk_partials(n, d, chunk_size):
+    """Every chunk of an `off` campaign over Q, run in index order."""
+    total = (1 << math.comb(n, d)) - 1
+    bound = harness.theorem_bound(n, d)
+    with _open_store(n, d, None):
+        return [harness._verify_chunk((n, d, None, s, min(s + chunk_size - 1, total), bound, "off"))
+                for s in range(1, total + 1, chunk_size)]
+
+
+class TestIndexedResults:
+    """Campaign results kept as subset indices: no `Ideal` is built until
+    one is read, and every output byte is the reference rendering's."""
+
+    @staticmethod
+    def count_ideals(monkeypatch):
+        built = []
+        post_init = core.Ideal.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(core.Ideal, "__post_init__", counted)
+        return built
+
+    def test_no_ideal_is_built(self, monkeypatch):
+        built = self.count_ideals(monkeypatch)
+        summary = verify_range(6, 4)
+        assert built == []
+        assert len(summary.extremal) == 31_737 and summary.violations == ()
+        summary.to_json()
+        assert built == []
+        first = summary.extremal[0]
+        assert built == [first] and first.gen_masks == (0b1111,)
+
+    def test_sequence_of_ideals(self):
+        summary = verify_range(5, 3, chunk_size=100)
+        pool = degree_monomial_masks(5, 3)
+        ideals = tuple(Ideal.from_masks(5, [m for i, m in enumerate(pool) if index >> i & 1])
+                       for index in summary.extremal.indices)
+        extremal = summary.extremal
+        assert isinstance(extremal, Sequence) and len(extremal) == len(ideals) > 5
+        assert extremal == ideals and ideals == extremal and extremal == list(ideals)
+        assert extremal != ideals[1:] and extremal != ideals[:-1] + (ideals[0],)
+        assert tuple(extremal) == ideals and extremal[-1] == ideals[-1]
+        for cut in (slice(2, 5), slice(None, None, -3), slice(7, 7)):
+            assert isinstance(extremal[cut], harness.IndexedIdeals)
+            assert extremal[cut] == ideals[cut]
+        assert random.Random(0).sample(extremal, 5) == random.Random(0).sample(ideals, 5)
+        assert extremal.index(ideals[3]) == 3 and ideals[3] in extremal
+        with pytest.raises(IndexError):
+            extremal[len(ideals)]
+        with pytest.raises(TypeError):
+            hash(extremal)
+
+    def test_memory_guard(self):
+        """The results of a sweep where nearly every ideal is extremal stay
+        small: 31,737 of 32,767 ideals at (6, 4)."""
+        complexes.clear_caches()
+        tracemalloc.start()
+        try:
+            verify_range(6, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * 2**20, peak
+
+    @pytest.mark.parametrize("n,d,chunk_size", CAMPAIGNS)
+    def test_every_byte_against_reference(self, tmp_path, monkeypatch, n, d, chunk_size):
+        """Summary JSON, stream and final checkpoint for jobs 1 and 2 and
+        after a resume from the second chunk's checkpoint."""
+        stamp = {"n": n, "d": d, "field": "Q", "chunk_size": chunk_size, "symmetry": "off"}
+        want = oracle_campaign_bytes(stamp, harness.theorem_bound(n, d),
+                                     chunk_partials(n, d, chunk_size))
+
+        def run(name, jobs=1, resume=False):
+            ck, stream = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
+            summary = verify_range(n, d, jobs=jobs, chunk_size=chunk_size, resume=resume,
+                                   checkpoint_path=str(ck), stream_path=str(stream))
+            return summary.to_json(), stream.read_bytes(), ck.read_bytes()
+
+        assert run("jobs1") == want
+        assert run("jobs2", jobs=2) == want
+        TestRestrictionStore.failing_write_after(monkeypatch, 3)
+        with pytest.raises(OSError, match="killed"):
+            run("resumed")
+        monkeypatch.undo()
+        assert json.loads((tmp_path / "resumed.json").read_text())["cursor"] == 2 * chunk_size + 1
+        assert run("resumed", resume=True) == want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_merge_against_list_fold(self, seed):
+        """`_merge` folds like list concatenation, never mutates its
+        arguments, and shares the arrays of the state it extends."""
+        rng = random.Random(f"merge/{seed}")
+        state = {**harness._START_STATE, "extremal_so_far": (array("q"),)}
+        plain = dict(harness._START_STATE)
+        end = 0
+        for _ in range(rng.randint(1, 30)):
+            size = rng.randint(1, 50)
+            top = rng.choice([-1, 2, 3, 3, 4])
+            indices = range(end + 1, end + size + 1)
+            extremal = sorted(rng.sample(indices, rng.randint(1, size))) if top >= 0 else []
+            violations = [(i, 5) for i in rng.sample(indices, rng.randint(0, min(2, size)))]
+            partial = {"start": end + 1, "end": end + size, "checked": size,
+                       "n2_count": rng.randint(len(extremal), size), "max_reg": top,
+                       "extremal": extremal, "violations": sorted(violations)}
+            end += size
+            before = copy.deepcopy((state, partial))
+            merged = harness._merge(state, partial)
+            assert (state, partial) == before
+            if merged["running_max"] == state["running_max"] == top:
+                assert all(a is b for a, b in zip(state["extremal_so_far"],
+                                                  merged["extremal_so_far"]))
+            plain = {
+                "cursor": partial["end"] + 1,
+                "checked": plain["checked"] + size,
+                "n2_count": plain["n2_count"] + partial["n2_count"],
+                "running_max": max(plain["running_max"], top),
+                "extremal_so_far": (extremal if top > plain["running_max"]
+                                    else plain["extremal_so_far"] + extremal
+                                    if top == plain["running_max"] >= 0
+                                    else plain["extremal_so_far"]),
+                "violations": plain["violations"] + [list(v) for v in partial["violations"]],
+            }
+            state = merged
+            flat = list(itertools.chain.from_iterable(state["extremal_so_far"]))
+            assert {**state, "extremal_so_far": flat} == plain
 
 
 class TestOrbitsCampaign:
