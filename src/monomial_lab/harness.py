@@ -59,11 +59,14 @@ after one level.  Only an ideal at or below its twin is searched and
 scanned, on the twin's generators, and the ideals with one twin share
 one homology cache entry.
 
-A campaign's results stay subset indices to the end.  `_merge` appends
-each chunk's extremal indices as one `array('q')` to a tuple, so it never
-copies the indices kept so far, and the summary's `extremal` is an
-`IndexedIdeals`: its length builds nothing, and each `Ideal` is built
-when it is read.  Every JSON record, the summary's and the stream's, takes
+A campaign's results stay subset indices to the end.  Each chunk returns
+its extremal indices as one `array('q')`, which `_merge` appends as it is
+to a tuple, so no merge copies the indices kept so far.  A campaign
+counts every index below its cursor, so `checked` is cursor - 1.
+`IndexedIdeals` is the one decoder of subset indices into `Ideal`s: for
+`enumerate_pure_ideals`, the summary's `extremal` and the violations of
+both sweeps.  Its length builds nothing, and each `Ideal` is built when
+it is read.  Every JSON record, the summary's and the stream's, takes
 its generator lists from one table of the degree-d monomials' strings per
 (n, d) (`_names`) and goes through `core.to_json`.  An ideal's JSON is the
 list of its generators' strings in canonical order, which is subset-index
@@ -148,11 +151,10 @@ def _subset_gens(monomials: tuple[int, ...], index: int) -> tuple[int, ...]:
 
 
 def enumerate_pure_ideals(n: int, d: int):
-    """Every ideal generated by a nonempty set of degree-d monomials, as a
-    generator in increasing subset-index order."""
-    monomials = _capacity_checked(n, d)
-    total = (1 << len(monomials)) - 1
-    return (Ideal.from_masks(n, _subset_gens(monomials, index)) for index in range(1, total + 1))
+    """Every ideal generated by a nonempty set of degree-d monomials, as an
+    iterator in increasing subset-index order."""
+    total = (1 << len(_capacity_checked(n, d))) - 1
+    return iter(IndexedIdeals(n, d, range(1, total + 1)))
 
 
 # --- symmetry reduction -------------------------------------------------------
@@ -182,15 +184,13 @@ def _lower_image(index: int, perms) -> int:
     """An image of subset index `index` lower than `index` under one of the
     permutations `perms` (a group but its identity, as `_index_perms`
     lists it), or 0 if none is: `index` is then the least index in its
-    orbit, its representative.  With no `perms` ("off"), 0.
+    orbit, its representative.
 
     The group is closed under inverses, so each `arr` is read as the
     inverse of an element g: bit p of g's image of `index` is bit arr[p] of
     `index`.  The image is compared with `index` from the top bit down and
     only up to the first bit where they differ; it is lower when `index`
-    has the 1 there.  Only the winning image is built."""
-    if not perms:
-        return 0
+    has the 1 there, and is then returned, read off the same bits."""
     bits = [index >> p & 1 for p in range(len(perms[0]))]
     top_down = range(len(bits) - 1, -1, -1)
     for arr in perms:
@@ -201,10 +201,7 @@ def _lower_image(index: int, perms) -> int:
         else:
             continue  # g fixes `index`
         if not bit:
-            inverse = [0] * len(arr)
-            for p, q in enumerate(arr):
-                inverse[q] = p
-            return _image(index, inverse)
+            return sum(bits[q] << p for p, q in enumerate(arr))
     return 0
 
 
@@ -221,14 +218,15 @@ def _names(n: int, d: int) -> tuple[str, ...]:
 
 class IndexedIdeals(Sequence):
     """A read-only sequence of pure degree-d ideals on n variables, kept as
-    their subset indices (an `array('q')`).  `len` builds nothing; indexing
-    and iteration build each `Ideal` when it is read, and a slice is another
+    their subset indices (any sequence of ints), and the module's one
+    decoder of subset indices.  `len` builds nothing; indexing and iteration
+    build each `Ideal` when it is read, and a slice is another
     `IndexedIdeals`.  It compares equal to any sequence of the same ideals."""
 
     __slots__ = ("n", "d", "indices")
     __hash__ = None  # equal to tuples of the same ideals, whose hashes differ
 
-    def __init__(self, n: int, d: int, indices: array):
+    def __init__(self, n: int, d: int, indices: Sequence[int]):
         self.n, self.d, self.indices = n, d, indices
 
     def __len__(self) -> int:
@@ -378,23 +376,26 @@ def _linear_reg(index: int, store: bytearray, tables, field: FieldSpec) -> int:
 
 
 def _verify_chunk(task):
+    """Indices start..end, read and written in the store of the running
+    call (`_open_store`); the extremal indices are an `array('q')`."""
     n, d, fieldp, start, end, bound, symmetry = task
     tables = _sweep_tables(n, d)
     field = FieldSpec(fieldp)
     # "orbits": each index but its orbit's least takes the value of a lower image
-    perms = _index_perms(n, d) if symmetry == "orbits" else ()
-    # the call's store, or one of this chunk's own when no call opened one
-    store = _STORES.get((n, d, fieldp)) or bytearray([d + 1])
+    orbits = symmetry == "orbits"
+    perms = _index_perms(n, d) if orbits else ()
+    store = _STORES[n, d, fieldp]
     if len(store) <= end:
         store.extend(bytes(end + 1 - len(store)))
     n2_count = 0
     max_reg = -1
-    extremal: list[int] = []
+    extremal = array("q")
     violations: list[tuple[int, int]] = []
     for index in range(start, end + 1):
-        lower = _lower_image(index, perms)
+        lower = orbits and _lower_image(index, perms)
         reg = _linear_reg(lower or index, store, tables, field)
-        store[index] = reg + 1  # a lower image has the same value, as a twin does
+        if lower:
+            store[index] = reg + 1  # a lower image has the same value, as a twin does
         if not reg:
             continue
         n2_count += 1
@@ -404,13 +405,11 @@ def _verify_chunk(task):
             continue  # only representatives are listed as extremal
         if reg > max_reg:
             max_reg = reg
-            extremal = [index]
+            extremal = array("q", [index])
         elif reg == max_reg:
             extremal.append(index)
     return {
-        "start": start,
         "end": end,
-        "checked": end + 1 - start,
         "n2_count": n2_count,
         "max_reg": max_reg,
         "extremal": extremal,
@@ -442,6 +441,36 @@ def _within(value, least, most=math.inf) -> bool:
     return _is_int(value) and least <= value <= most
 
 
+def _rising(values: list, last: int) -> bool:
+    """Whether `values` are ints in 1..last, strictly increasing."""
+    return all(_within(i, 1, last) for i in values) and all(map(operator.lt, values, values[1:]))
+
+
+def _checkpoint_checks(doc: dict, d: int, total: int):
+    """(key, passed) for each check of a checkpoint's state, in order; each
+    is made only after the ones before it passed.  The state of indices
+    1..last has at least one extremal ideal exactly when some ideal there
+    is linearly presented, a largest regularity of -1 or at least d, and
+    at least as many linearly presented ideals as extremal ones and as
+    violations, all listed in index order."""
+    last = doc["cursor"] - 1 if _within(doc["cursor"], 1, total + 1) else -1
+    yield "cursor", last >= 0
+    yield "checked", _within(doc["checked"], last, last)
+    top, marks, pairs = doc["running_max"], doc["extremal_so_far"], doc["violations"]
+    yield "running_max", _within(top, -1, -1) or _within(top, d)
+    yield "extremal_so_far", (isinstance(marks, list) and _rising(marks, last)
+                              and bool(marks) == (top >= 0))
+    yield "violations", isinstance(pairs, list) and all(
+        isinstance(p, list) and len(p) == 2 and _is_int(p[1]) for p in pairs
+    ) and _rising([p[0] for p in pairs], last)
+    count = doc["n2_count"]
+    yield "n2_count", _within(count, max(len(marks), len(pairs)), last) and (top >= 0 or count == 0)
+    yield "stream_length", "stream_length" not in doc or _within(doc["stream_length"], 0)
+    sha = doc.get("stream_sha256")
+    yield "stream_sha256", ("stream_sha256" not in doc
+                            or isinstance(sha, str) and re.fullmatch("[0-9a-f]{64}", sha))
+
+
 def _read_checkpoint(path: str, stamp: dict, total: int) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -455,31 +484,18 @@ def _read_checkpoint(path: str, stamp: dict, total: int) -> dict:
     found = {key: doc[key] for key in stamp}
     if found != stamp:
         raise CheckpointError(f"checkpoint {path} was written for run {found}, not {stamp}")
-    last = doc["cursor"] - 1 if _within(doc["cursor"], 1, total + 1) else -1
-    marks, pairs, sha = doc["extremal_so_far"], doc["violations"], doc.get("stream_sha256")
-    for key, ok in [
-        ("cursor", last >= 0),
-        ("checked", _within(doc["checked"], last, last)),
-        ("n2_count", _within(doc["n2_count"], 0, last)),
-        ("running_max", _within(doc["running_max"], -1)),
-        ("extremal_so_far", isinstance(marks, list) and all(_within(i, 1, last) for i in marks)),
-        ("violations", isinstance(pairs, list) and all(
-            isinstance(p, list) and len(p) == 2 and _within(p[0], 1, last) and _is_int(p[1])
-            for p in pairs)),
-        ("stream_length", "stream_length" not in doc or _within(doc["stream_length"], 0)),
-        ("stream_sha256", "stream_sha256" not in doc
-         or isinstance(sha, str) and re.fullmatch("[0-9a-f]{64}", sha)),
-    ]:
-        if not ok:
+    for key, passed in _checkpoint_checks(doc, stamp["d"], total):
+        if not passed:
             raise CheckpointError(f"checkpoint {path} has a bad {key}: {doc[key]!r}")
     return doc
 
 
 def _merge(state: dict, partial: dict) -> dict:
     """The campaign state after the next chunk in index order.  Its
-    `extremal_so_far` is a tuple of `array('q')`s, one per chunk that
-    reached the running max, so a merge appends one array instead of
-    copying every index kept so far.
+    `extremal_so_far` is a tuple of the extremal `array('q')`s, as
+    `_verify_chunk` returned them, of the chunks that reached the running
+    max, so a merge appends one array instead of copying the indices kept
+    so far.  `checked` is the chunk's end: indices 1..end are done.
 
     Does no I/O and never mutates its arguments, so a state may be shared.
     """
@@ -487,12 +503,12 @@ def _merge(state: dict, partial: dict) -> dict:
     chunk_max = partial["max_reg"]
     extremal = state["extremal_so_far"]
     if chunk_max > top:
-        extremal = (array("q", partial["extremal"]),)
+        extremal = (partial["extremal"],)
     elif chunk_max == top >= 0:
-        extremal = extremal + (array("q", partial["extremal"]),)
+        extremal = extremal + (partial["extremal"],)
     return {
         "cursor": partial["end"] + 1,
-        "checked": state["checked"] + partial["checked"],
+        "checked": partial["end"],
         "n2_count": state["n2_count"] + partial["n2_count"],
         "running_max": max(top, chunk_max),
         "extremal_so_far": extremal,
@@ -537,11 +553,12 @@ def verify_range(
     symmetry="orbits" (n <= 7), only the least subset index of each orbit
     under the variable permutations is computed, and each other index takes
     the value of a lower image: counts, violations and stream are those of
-    "off", the extremal ideals one per orbit.  In both modes a checkpoint
-    at cursor c describes exactly indices 1..c-1 and records the stream's
-    length and hash; a resume refuses a stream at least that long whose
-    first bytes do not match, and cuts a matching one back, and it refuses
-    a checkpoint whose state fields do not fit the run.  The worker pool is
+    "off", the extremal ideals one per orbit; "off" lists and applies no
+    permutation.  In both modes a checkpoint at cursor c describes exactly
+    indices 1..c-1 and records the stream's length and hash; a resume
+    refuses a stream at least that long whose first bytes do not match, and
+    cuts a matching one back, and it refuses a checkpoint whose state
+    fields do not fit the run or each other.  The worker pool is
     terminated when the merge ends, normally or by an error (a failed
     checkpoint write, say), so queued chunks are never waited for.
     """
@@ -610,10 +627,8 @@ def verify_range(
                                   {**stamp, **state, "extremal_so_far": extremal, **mark})
 
     extremal = array("q", itertools.chain.from_iterable(state["extremal_so_far"]))
-    violations = tuple(
-        (Ideal.from_masks(n, _subset_gens(monomials, idx)), reg)
-        for idx, reg in state["violations"]
-    )
+    pairs = state["violations"]
+    violations = tuple(zip(IndexedIdeals(n, d, [i for i, _ in pairs]), [reg for _, reg in pairs]))
     return EnumerationSummary(
         n=n,
         d=d,
@@ -712,10 +727,8 @@ def gcd_lemma_sweep(n: int, d: int) -> GcdSweepReport:
         ideals=total,
         pairs_checked=pairs_checked,
         witnesses_found=pairs_checked - len(violations),
-        violations=tuple(
-            (Ideal.from_masks(n, _subset_gens(monomials, idx)), Monomial(n, f))
-            for idx, f in violations
-        ),
+        violations=tuple(zip(IndexedIdeals(n, d, [i for i, _ in violations]),
+                             [Monomial(n, f) for _, f in violations])),
         elapsed=time.monotonic() - t0,
     )
 

@@ -281,7 +281,7 @@ def oracle_campaign_bytes(stamp: dict, bound: int, partials):
         elif part["max_reg"] == top >= 0:
             extremal = extremal + list(part["extremal"])
         top = max(top, part["max_reg"])
-        checked += part["checked"]
+        checked = part["end"]  # every index below the cursor
         n2_count += part["n2_count"]
         violations = violations + [list(v) for v in part["violations"]]
         records = [("extremal", i, top) for i in part["extremal"] if part["max_reg"] == top]

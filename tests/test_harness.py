@@ -83,6 +83,12 @@ class TestEnumeration:
         ]
         assert sum(1 for _ in enumerate_pure_ideals(5, 2)) == 1023
 
+    def test_iterator(self):
+        ideals = enumerate_pure_ideals(4, 2)
+        assert next(ideals) == Ideal.from_masks(4, degree_monomial_masks(4, 2)[:1])
+        assert sum(1 for _ in ideals) == 62
+        assert sum(1 for _ in enumerate_pure_ideals(4, 2)) == 63
+
     def test_capacity_error_names_count(self):
         with pytest.raises(CapacityError) as err:
             list(enumerate_pure_ideals(12, 6))
@@ -370,18 +376,22 @@ class TestSweepTables:
         assert calls == [(10, 3)]  # one graph on all ten monomials, no per-support one
 
     def test_tables_and_images_have_one_home(self):
-        """In `harness`, only `_sweep_tables` names `_adjacency`, and only
-        `_index_perms` and `_lower_image` name `_image`."""
+        """In `harness`, only `_sweep_tables` names `_adjacency`, only
+        `_index_perms` names `_image`, and only `IndexedIdeals` and
+        `open_case_search` build an ideal with `Ideal.from_masks`."""
         tree = ast.parse(pathlib.Path(harness.__file__).read_text(encoding="utf-8"))
-        homes = {"_adjacency": set(), "_image": set()}
+        homes = {"_adjacency": set(), "_image": set(), "Ideal.from_masks": set()}
         for top in tree.body:
             for node in ast.walk(top):
                 name = (node.id if isinstance(node, ast.Name)
                         else node.attr if isinstance(node, ast.Attribute) else None)
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and (node.value.id, node.attr) == ("Ideal", "from_masks")):
+                    name = "Ideal.from_masks"
                 if name in homes:
                     homes[name].add(getattr(top, "name", top.lineno))
-        assert homes == {"_adjacency": {"_sweep_tables"},
-                         "_image": {"_index_perms", "_lower_image"}}
+        assert homes == {"_adjacency": {"_sweep_tables"}, "_image": {"_index_perms"},
+                         "Ideal.from_masks": {"IndexedIdeals", "open_case_search"}}
 
 
 class TestVerifyRange:
@@ -440,8 +450,9 @@ class TestVerifyRange:
             "max_reg": -1, "extremal": [], "violations": [],
         }
         for start in (1, 101, 201):
-            partial = harness._verify_chunk((5, 2, None, start, start + 99, 2, "off"))
-            state["checked"] += partial["checked"]
+            with _open_store(5, 2, None):
+                partial = harness._verify_chunk((5, 2, None, start, start + 99, 2, "off"))
+            state["checked"] = partial["end"]
             state["n2_count"] += partial["n2_count"]
             if partial["max_reg"] > state["max_reg"]:
                 state["max_reg"] = partial["max_reg"]
@@ -501,6 +512,62 @@ class TestVerifyRange:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match=f"has a bad {key}: "):
             verify_range(4, 2, chunk_size=20, checkpoint_path=str(path), resume=True)
+
+    @pytest.mark.parametrize("key,changes", [
+        ("extremal_so_far", {"extremal_so_far": [5, 5, 3]}),  # not strictly increasing
+        ("extremal_so_far", {"running_max": -1, "n2_count": 0}),  # extremal with no max
+        ("extremal_so_far", {"extremal_so_far": []}),  # a max with no extremal ideal
+        ("running_max", {"running_max": 1}),  # below d
+        ("n2_count", {"n2_count": 59}),  # fewer than the 60 extremal ideals
+        ("n2_count", {"extremal_so_far": [1], "n2_count": 2,
+                      "violations": [[1, 3], [2, 3], [3, 3]]}),  # fewer than the violations
+        ("n2_count", {"running_max": -1, "extremal_so_far": [], "n2_count": 5}),
+        ("violations", {"violations": [[7, 3], [5, 3]]}),  # not strictly increasing
+    ])
+    def test_checkpoint_state_must_agree(self, tmp_path, key, changes):
+        """A finished (4,2) checkpoint whose fields contradict each other."""
+        path = tmp_path / "ck.json"
+        verify_range(4, 2, chunk_size=20, checkpoint_path=str(path))
+        doc = json.loads(path.read_text())
+        assert (doc["running_max"], doc["n2_count"], len(doc["extremal_so_far"])) == (2, 60, 60)
+        path.write_text(json.dumps({**doc, **changes}))
+        with pytest.raises(CheckpointError, match=f"has a bad {key}: "):
+            verify_range(4, 2, chunk_size=20, checkpoint_path=str(path), resume=True)
+
+    def test_refusal_survives_optimize(self, tmp_path):
+        """The checkpoint checks are no `assert`s: they refuse under -O too."""
+        src = os.path.dirname(os.path.dirname(monomial_lab.__file__))
+        proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_REFUSAL,
+                               str(tmp_path / "ck.json")],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == [
+            "optimize 1", "raised CheckpointError: bad extremal_so_far"]
+
+    @pytest.mark.parametrize("n,d,symmetry,digest", SUMMARY_SHA256)
+    def test_every_written_checkpoint_loads(self, tmp_path, monkeypatch, n, d, symmetry, digest):
+        """Each checkpoint a pinned run writes, in at most 16 chunks, passes
+        every check of a resume, also with the bound lowered below d so
+        that every linearly presented ideal is a violation."""
+        path = str(tmp_path / "ck.json")
+        total = (1 << math.comb(n, d)) - 1
+        chunk_size = max(1, (total + 1) // 16)
+        chunks = len(range(1, total + 1, chunk_size))
+        stamp = {"n": n, "d": d, "field": "Q", "chunk_size": chunk_size, "symmetry": symmetry}
+        write = harness._write_checkpoint
+        docs = []
+
+        def write_then_load(at, doc):
+            write(at, doc)
+            docs.append(harness._read_checkpoint(at, stamp, total))
+
+        monkeypatch.setattr(harness, "_write_checkpoint", write_then_load)
+        got = verify_range(n, d, symmetry=symmetry, chunk_size=chunk_size, checkpoint_path=path)
+        assert len(docs) == chunks and hashlib.sha256(got.to_json().encode()).hexdigest() == digest
+        monkeypatch.setattr(harness, "theorem_bound", lambda n, d: d - 1)
+        lowered = verify_range(n, d, symmetry=symmetry, chunk_size=chunk_size, checkpoint_path=path)
+        assert len(docs) == 2 * chunks and len(lowered.violations) == lowered.n2_count
 
     def test_checkpoint_state_at_its_limits(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -719,8 +786,22 @@ class TestVerifyRange:
         lower = _lower_image(hi, perms)
         assert lower < hi and lower.bit_count() == 1  # another single edge
         assert _lower_image(1, perms) == 0  # {x1x2}, the least of the six edges of K4
-        assert _lower_image(hi, ()) == 0  # "off": no index has a lower image
         assert oracle_canonical_subset_index(hi, oracle_index_group(4, 2)) == 1
+
+    def test_off_does_no_orbit_work(self, monkeypatch):
+        """An `off` campaign lists no permutation and tries no image."""
+        calls = []
+
+        def spy(name):
+            real = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *args: calls.append(name) or real(*args))
+
+        spy("_lower_image")
+        spy("_index_perms")
+        off = verify_range(6, 2)
+        assert calls == [] and off.n2_count > 0
+        verify_range(4, 2, symmetry="orbits")
+        assert calls[0] == "_index_perms" and calls.count("_lower_image") == 63
 
     @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (5, 3), (4, 3)])
     def test_least_in_orbit_against_orbit_minimum(self, n, d):
@@ -866,9 +947,9 @@ class TestRestrictionStore:
         assert (early, late) == (in_order[0], in_order[2])
         with _open_store(5, 2, None):
             assert [harness._verify_chunk(task(s)) for s in reversed(starts)] == in_order[::-1]
-        # with no store open, each call keeps one of its own
-        assert [harness._verify_chunk(task(s)) for s in reversed(starts)] == in_order[::-1]
         assert harness._STORES == {}
+        with pytest.raises(KeyError):  # a chunk keeps no store of its own
+            harness._verify_chunk(task(1))
 
 
 # cases of the differential byte tests: (n, d, chunk_size)
@@ -909,6 +990,40 @@ class TestIndexedResults:
         assert built == []
         first = summary.extremal[0]
         assert built == [first] and first.gen_masks == (0b1111,)
+
+    def test_violations_built_by_the_one_decoder(self, tmp_path, monkeypatch):
+        """`verify_range(5, 2)` builds its 12 violation ideals and no other,
+        equal to those `Ideal.from_masks` builds from the streamed indices."""
+        built = self.count_ideals(monkeypatch)
+        stream = tmp_path / "s.jsonl"
+        summary = verify_range(5, 2, stream_path=str(stream))
+        assert len(built) == 12 and built == [I for I, _ in summary.violations]
+        assert len(summary.extremal) > 0 and len(built) == 12
+        pool = degree_monomial_masks(5, 2)
+        want = [(Ideal.from_masks(5, [m for i, m in enumerate(pool) if r["index"] >> i & 1]),
+                 r["reg"])
+                for r in map(json.loads, stream.read_text().splitlines())
+                if r["type"] == "violation"]
+        assert list(summary.violations) == want
+
+    def test_gcd_sweep_violations(self, monkeypatch):
+        """With every truncation that holds a vertex's whole star read as not
+        linearly presented, no gcd of degree 1 is a witness at (4,2), and each
+        (I, f) that meets the hypothesis is reported, as `Ideal.from_masks`
+        builds it."""
+        pool = degree_monomial_masks(4, 2)
+        stars = [sum(1 << i for i, m in enumerate(pool) if m >> v & 1) for v in range(4)]
+
+        def linear(index, store=None, tables=None, field=None):
+            return int(all(index & star != star for star in stars))
+
+        monkeypatch.setattr(harness, "_linear_reg", linear)
+        report = gcd_lemma_sweep(4, 2)
+        want = [(Ideal.from_masks(4, [m for i, m in enumerate(pool) if index >> i & 1]),
+                 Monomial(4, f))
+                for index in range(1, 64) for at, f in enumerate(pool)
+                if index & ~(1 << at) and linear(index | 1 << at)]
+        assert len(want) > 12 and list(report.violations) == want
 
     def test_sequence_of_ideals(self):
         summary = verify_range(5, 3, chunk_size=100)
@@ -979,9 +1094,9 @@ class TestIndexedResults:
             indices = range(end + 1, end + size + 1)
             extremal = sorted(rng.sample(indices, rng.randint(1, size))) if top >= 0 else []
             violations = [(i, 5) for i in rng.sample(indices, rng.randint(0, min(2, size)))]
-            partial = {"start": end + 1, "end": end + size, "checked": size,
-                       "n2_count": rng.randint(len(extremal), size), "max_reg": top,
-                       "extremal": extremal, "violations": sorted(violations)}
+            partial = {"end": end + size, "n2_count": rng.randint(len(extremal), size),
+                       "max_reg": top, "extremal": array("q", extremal),
+                       "violations": sorted(violations)}
             end += size
             before = copy.deepcopy((state, partial))
             merged = harness._merge(state, partial)
@@ -989,6 +1104,8 @@ class TestIndexedResults:
             if merged["running_max"] == state["running_max"] == top:
                 assert all(a is b for a, b in zip(state["extremal_so_far"],
                                                   merged["extremal_so_far"]))
+            if merged["running_max"] == top >= 0:
+                assert merged["extremal_so_far"][-1] is partial["extremal"]
             plain = {
                 "cursor": partial["end"] + 1,
                 "checked": plain["checked"] + size,
@@ -1087,6 +1204,29 @@ class TestOrbitsCampaign:
         with pytest.raises(CheckpointError, match=f"has a bad {key}: "):
             self.run(tmp_path, "old", resume=True)
         assert (ck.read_bytes(), stream.read_bytes()) == before
+
+
+# A finished (4,2) checkpoint at argv[1], rewritten so that index 5 is
+# extremal twice below a largest regularity of -1, then resumed.
+OPTIMIZED_REFUSAL = """
+import json, sys
+from monomial_lab import harness
+
+path = sys.argv[1]
+harness.verify_range(4, 2, checkpoint_path=path)
+with open(path) as fh:
+    doc = json.load(fh)
+doc.update(running_max=-1, extremal_so_far=[5, 5, 3], n2_count=0)
+with open(path, "w") as fh:
+    json.dump(doc, fh)
+print("optimize", sys.flags.optimize)
+try:
+    summary = harness.verify_range(4, 2, checkpoint_path=path, resume=True)
+except harness.CheckpointError as exc:
+    print("raised CheckpointError:", "bad extremal_so_far" if "bad extremal_so_far" in str(exc) else exc)
+else:
+    print("resumed", summary.max_reg, list(summary.extremal.indices))
+"""
 
 
 # A `verify_range(5, 2)` run in chunks of 64 that SIGKILLs itself at the
