@@ -182,8 +182,8 @@ def _index_perms(n: int, d: int) -> tuple[tuple[int, ...], ...]:
 
 def _lower_image(index: int, perms) -> int:
     """An image of subset index `index` lower than `index` under one of the
-    permutations `perms` (a group but its identity, as `_index_perms`
-    lists it), or 0 if none is: `index` is then the least index in its
+    permutations `perms` (a group but its identity, as `_index_perms` lists
+    it; not empty), or 0 if none is: `index` is then the least index in its
     orbit, its representative.
 
     The group is closed under inverses, so each `arr` is read as the
@@ -382,8 +382,7 @@ def _verify_chunk(task):
     tables = _sweep_tables(n, d)
     field = FieldSpec(fieldp)
     # "orbits": each index but its orbit's least takes the value of a lower image
-    orbits = symmetry == "orbits"
-    perms = _index_perms(n, d) if orbits else ()
+    perms = _index_perms(n, d) if symmetry == "orbits" else ()
     store = _STORES[n, d, fieldp]
     if len(store) <= end:
         store.extend(bytes(end + 1 - len(store)))
@@ -392,7 +391,7 @@ def _verify_chunk(task):
     extremal = array("q")
     violations: list[tuple[int, int]] = []
     for index in range(start, end + 1):
-        lower = orbits and _lower_image(index, perms)
+        lower = perms and _lower_image(index, perms)
         reg = _linear_reg(lower or index, store, tables, field)
         if lower:
             store[index] = reg + 1  # a lower image has the same value, as a twin does
@@ -426,10 +425,10 @@ def _write_checkpoint(path: str, doc: dict) -> None:
     os.replace(tmp, path)
 
 
-# campaign state before the first chunk, under the checkpoint file's key names
+# campaign state before the first chunk, under the checkpoint file's key
+# names; the file also holds `checked`, always cursor - 1
 _START_STATE = {
     "cursor": 1,
-    "checked": 0,
     "n2_count": 0,
     "running_max": -1,
     "extremal_so_far": [],
@@ -479,7 +478,8 @@ def _read_checkpoint(path: str, stamp: dict, total: int) -> dict:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupted checkpoint {path}: {exc}") from exc
-    if not isinstance(doc, dict) or not (stamp.keys() | _START_STATE.keys()) <= doc.keys():
+    required = stamp.keys() | _START_STATE.keys() | {"checked"}
+    if not isinstance(doc, dict) or not required <= doc.keys():
         raise CheckpointError(f"checkpoint {path} is missing required fields")
     found = {key: doc[key] for key in stamp}
     if found != stamp:
@@ -495,7 +495,7 @@ def _merge(state: dict, partial: dict) -> dict:
     `extremal_so_far` is a tuple of the extremal `array('q')`s, as
     `_verify_chunk` returned them, of the chunks that reached the running
     max, so a merge appends one array instead of copying the indices kept
-    so far.  `checked` is the chunk's end: indices 1..end are done.
+    so far.
 
     Does no I/O and never mutates its arguments, so a state may be shared.
     """
@@ -508,7 +508,6 @@ def _merge(state: dict, partial: dict) -> dict:
         extremal = extremal + (partial["extremal"],)
     return {
         "cursor": partial["end"] + 1,
-        "checked": partial["end"],
         "n2_count": state["n2_count"] + partial["n2_count"],
         "running_max": max(top, chunk_max),
         "extremal_so_far": extremal,
@@ -624,7 +623,8 @@ def verify_range(
             if checkpoint_path is not None:
                 extremal = list(itertools.chain.from_iterable(state["extremal_so_far"]))
                 _write_checkpoint(checkpoint_path,
-                                  {**stamp, **state, "extremal_so_far": extremal, **mark})
+                                  {**stamp, **state, "checked": state["cursor"] - 1,
+                                   "extremal_so_far": extremal, **mark})
 
     extremal = array("q", itertools.chain.from_iterable(state["extremal_so_far"]))
     pairs = state["violations"]
@@ -634,7 +634,7 @@ def verify_range(
         d=d,
         field=field.label,
         total_ideals=total,
-        checked=state["checked"],
+        checked=state["cursor"] - 1,
         n2_count=state["n2_count"],
         max_reg=state["running_max"],
         bound=bound,

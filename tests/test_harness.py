@@ -803,6 +803,14 @@ class TestVerifyRange:
         verify_range(4, 2, symmetry="orbits")
         assert calls[0] == "_index_perms" and calls.count("_lower_image") == 63
 
+    def test_orbits_on_one_variable(self):
+        """At n = 1 the group is the identity alone, so `orbits` tries no
+        image and counts as `off` does."""
+        assert _index_perms(1, 1) == ()
+        off, orbits = (verify_range(1, 1, symmetry=mode) for mode in ("off", "orbits"))
+        assert orbits.to_json() == off.to_json()
+        assert (orbits.checked, orbits.n2_count, orbits.max_reg) == (1, 1, 1)
+
     @pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (5, 3), (4, 3)])
     def test_least_in_orbit_against_orbit_minimum(self, n, d):
         perms = _index_perms(n, d)
@@ -1107,8 +1115,7 @@ class TestIndexedResults:
             if merged["running_max"] == top >= 0:
                 assert merged["extremal_so_far"][-1] is partial["extremal"]
             plain = {
-                "cursor": partial["end"] + 1,
-                "checked": plain["checked"] + size,
+                "cursor": plain["cursor"] + size,
                 "n2_count": plain["n2_count"] + partial["n2_count"],
                 "running_max": max(plain["running_max"], top),
                 "extremal_so_far": (extremal if top > plain["running_max"]
