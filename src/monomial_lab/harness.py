@@ -10,12 +10,12 @@ Long runs persist a resumable JSON checkpoint.
 
 An exhaustive campaign settles each ideal from its one-vertex
 restrictions.  For a vertex v of the support, the restriction I_{supp-v}
-(the generators avoiding v) has the subset index `index & avoiding[v]`,
-smaller than the ideal's own.  The value of an index is reg(I) if I is
-linearly presented and 0 if not.  The recurrence is
+(the generators avoiding v) is the ideal's index without the bits of
+`containing[v]`, a smaller index.  The value of an index is reg(I) if I
+is linearly presented and 0 if not.  With m = |supp|, the recurrence is
 
-    I linearly presented  <=>  every I_{supp-v} is, and the generator
-                               graph of I is connected
+    I linearly presented  <=>  every I_{supp-v} is, and m <= d + 1 or
+                               beta_{1,supp}(I) = 0
     reg(I) = max(d, reg(I_{supp-v}) over v, the slots of sigma = supp)
 
 Both lines are exact because of the restriction lemma: the fine Betti
@@ -23,16 +23,15 @@ numbers of I at a vertex subset sigma depend only on the generators inside
 sigma (Hochster's formula), so at every sigma missing a vertex v of the
 support they are those of I_{supp-v} (Herzog, Hibi, Trung and Zheng, Trans.
 AMS 2008).  Every sigma but the support itself misses some vertex, so only
-the support is scanned here (`betti._support_regularity`).  Likewise the
-lcm subgraph of a generator pair depends only on the generators dividing
-the lcm, so a pair whose lcm misses a vertex v was settled in I_{supp-v},
-and a pair whose lcm is the whole support has the whole generator graph as
-its lcm subgraph.  Conversely, a pair from two components of a disconnected
-generator graph is disconnected inside its own lcm subgraph too.  The lcm
-of two degree-d generators has at most 2d vertices, so when |supp| > 2d
-every pair was settled below, and the graph is not searched.  Otherwise
-it is the subgraph on the ideal's index bits of one graph per (n, d), over
-all degree-d monomials (`_sweep_tables`).
+the support is scanned here (`betti._support_regularity`).  Its slot
+beta_{1,supp}, a first syzygy of degree m, is off the linear strand when
+m > d + 1, and it is the one slot on row m - 1: a restriction's support
+has at most m - 1 vertices, so its regularity is at most max(d, m - 2),
+and the support's other slots lie lower.  So such an ideal is linearly
+presented exactly when the scan stays below m - 1.  beta_{1,supp} is the
+reduced H_0 of an interval of the lcm lattice, the same over every field
+(Gasharov, Peeva and Welker, Math. Res. Lett. 1999), and Taylor's cut in
+the scan leaves it 0 when m > 2d.
 
 The values live in one restriction store per `verify_range` call: a
 bytearray holding, at each subset index, the value + 1, and 0 where the
@@ -55,9 +54,9 @@ below the index lies inside the store, which reaches past the index, so
 its value is read there or found by the same recursion, and the store
 still ends at the chunk's end; a twin above the index may lie past it, so
 it is not read.  The twin is its own twin, so the recursion into it ends
-after one level.  Only an ideal at or below its twin is searched and
-scanned, on the twin's generators, and the ideals with one twin share
-one homology cache entry.
+after one level.  Only an ideal at or below its twin is scanned, on the
+twin's generators, and the ideals with one twin share one homology cache
+entry.
 
 A campaign's results stay subset indices to the end.  Each chunk returns
 its extremal indices as one `array('q')`, which `_merge` appends as it is
@@ -108,7 +107,7 @@ from .core import (
     squarefree_multiples,
     to_json,
 )
-from .linearity import _adjacency, _spans, n2_verdict_masks
+from .linearity import n2_verdict_masks
 
 MAX_SUBSET_SPACE = 63  # subset indices must fit a machine word
 
@@ -282,18 +281,14 @@ class EnumerationSummary:
 
 @functools.cache
 def _sweep_tables(n: int, d: int):
-    """(d, monomials, containing, avoiding, adjacent, position) of the
-    degree-d subset space on n variables.  ANDed with an ideal's index,
-    `containing[v]` holds v's generators and `avoiding[v]` gives the index
-    of its restriction to the vertices but v.  `adjacent` is the generator
-    graph of all the monomials; its subgraph on an index's bits is the
-    ideal's.  `position` maps each monomial to its bit."""
+    """(d, monomials, containing, position) of the degree-d subset space on
+    n variables.  ANDed with an ideal's index, `containing[v]` holds v's
+    generators; the index without them is the ideal's restriction to the
+    vertices but v.  `position` maps each monomial to its bit."""
     monomials = degree_monomial_masks(n, d)
-    full = (1 << len(monomials)) - 1
     containing = tuple(sum(1 << i for i, m in enumerate(monomials) if m >> v & 1) for v in range(n))
-    avoiding = tuple(full ^ c for c in containing)
     position = {m: i for i, m in enumerate(monomials)}
-    return d, monomials, containing, avoiding, tuple(_adjacency(monomials, d)), position
+    return d, monomials, containing, position
 
 
 # The restriction store of each running `verify_range` call, keyed by its
@@ -339,22 +334,20 @@ def _linear_reg(index: int, store: bytearray, tables, field: FieldSpec) -> int:
     must reach past `index`; `tables` are `_sweep_tables(n, d)`.
 
     When every restriction is linearly presented, the value is the twin's,
-    read or found as above when the twin lies below `index`.  Otherwise the
-    ideal is linearly presented when its generator graph, the subgraph of
-    `adjacent` on the bits of `index`, is connected (searched only if
-    |supp| <= 2d), and its regularity is then the largest of d, its
-    restrictions' values and the slots of sigma = supp, scanned on the
-    twin's generators."""
+    read or found as above when the twin lies below `index`.  Otherwise it
+    is the largest of d, the restrictions' values and the slots of sigma =
+    supp, scanned on the twin's generators, or 0 when m = |supp| > d + 1
+    and the scan reaches row m - 1, the slot beta_{1,supp}."""
     if store[index]:
         return store[index] - 1
-    d, monomials, containing, avoiding, adjacent, position = tables
+    d, monomials, containing, position = tables
     best = d
     keys = []  # (-degree, vertex) of each support vertex
-    for v, (has, lacks) in enumerate(zip(containing, avoiding)):
-        degree = (index & has).bit_count()
-        if not degree:
+    for v, has in enumerate(containing):
+        hit = index & has
+        if not hit:
             continue
-        below = index & lacks
+        below = index ^ hit
         value = store[below] - 1
         if value < 0:
             value = _linear_reg(below, store, tables, field)
@@ -362,15 +355,16 @@ def _linear_reg(index: int, store: bytearray, tables, field: FieldSpec) -> int:
             break
         if value > best:
             best = value
-        keys.append((-degree, v))
+        keys.append((-hit.bit_count(), v))
     else:
         twin = _twin(index, keys, monomials, position)
         if twin < index:
             value = _linear_reg(twin, store, tables, field)
-        elif len(keys) > 2 * d or _spans(adjacent, index):
-            value = _support_regularity(len(keys), _subset_gens(monomials, twin), field, best)
         else:
-            value = 0
+            m = len(keys)
+            value = _support_regularity(m, _subset_gens(monomials, twin), field, best)
+            if m > d + 1 and value >= m - 1:
+                value = 0
     store[index] = value + 1
     return value
 
@@ -445,13 +439,15 @@ def _rising(values: list, last: int) -> bool:
     return all(_within(i, 1, last) for i in values) and all(map(operator.lt, values, values[1:]))
 
 
-def _checkpoint_checks(doc: dict, d: int, total: int):
+def _checkpoint_checks(doc: dict, d: int, bound: int, total: int):
     """(key, passed) for each check of a checkpoint's state, in order; each
     is made only after the ones before it passed.  The state of indices
     1..last has at least one extremal ideal exactly when some ideal there
     is linearly presented, a largest regularity of -1 or at least d, and
     at least as many linearly presented ideals as extremal ones and as
-    violations, all listed in index order."""
+    violations, all listed in index order.  A violation's regularity lies
+    in bound + 1..running_max, and a running_max above the bound is some
+    violation's."""
     last = doc["cursor"] - 1 if _within(doc["cursor"], 1, total + 1) else -1
     yield "cursor", last >= 0
     yield "checked", _within(doc["checked"], last, last)
@@ -460,8 +456,9 @@ def _checkpoint_checks(doc: dict, d: int, total: int):
     yield "extremal_so_far", (isinstance(marks, list) and _rising(marks, last)
                               and bool(marks) == (top >= 0))
     yield "violations", isinstance(pairs, list) and all(
-        isinstance(p, list) and len(p) == 2 and _is_int(p[1]) for p in pairs
+        isinstance(p, list) and len(p) == 2 and _within(p[1], bound + 1, top) for p in pairs
     ) and _rising([p[0] for p in pairs], last)
+    yield "running_max", top <= bound or any(p[1] == top for p in pairs)
     count = doc["n2_count"]
     yield "n2_count", _within(count, max(len(marks), len(pairs)), last) and (top >= 0 or count == 0)
     yield "stream_length", "stream_length" not in doc or _within(doc["stream_length"], 0)
@@ -484,7 +481,8 @@ def _read_checkpoint(path: str, stamp: dict, total: int) -> dict:
     found = {key: doc[key] for key in stamp}
     if found != stamp:
         raise CheckpointError(f"checkpoint {path} was written for run {found}, not {stamp}")
-    for key, passed in _checkpoint_checks(doc, stamp["d"], total):
+    bound = theorem_bound(stamp["n"], stamp["d"])
+    for key, passed in _checkpoint_checks(doc, stamp["d"], bound, total):
         if not passed:
             raise CheckpointError(f"checkpoint {path} has a bad {key}: {doc[key]!r}")
     return doc
@@ -696,8 +694,8 @@ def gcd_lemma_sweep(n: int, d: int) -> GcdSweepReport:
     of g, the truncation of I + (g) is the ideal at `index | multiples[g]`,
     and I lies inside (f) when `index & ~multiples[f]` is 0.  Every verdict
     is read from one full-size restriction store (module docstring), filled
-    by `_linear_reg` over GF(2), the cheapest field: linear presentation
-    involves no field.
+    by `_linear_reg` over GF(2), the cheapest field: its verdict rests on
+    beta_{1,supp}, which does not depend on the field.
     """
     monomials = _capacity_checked(n, d)
     total = (1 << len(monomials)) - 1

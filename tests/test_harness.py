@@ -200,7 +200,7 @@ class TestRestrictionRecursion:
 def twin_of(index, tables):
     """`harness._twin` of `index`, with the keys `_linear_reg` gives it."""
     keys = [(-(index & c).bit_count(), v) for v, c in enumerate(tables[2]) if index & c]
-    return harness._twin(index, keys, tables[1], tables[5])
+    return harness._twin(index, keys, tables[1], tables[3])
 
 
 class TestTwin:
@@ -307,9 +307,10 @@ class TestEdgeIdealClosedForms:
 
 
 class TestConnectivityLemma:
-    """Once every one-vertex restriction of an ideal is linearly presented,
-    the ideal is linearly presented exactly when its generator graph is
-    connected (the `harness` module docstring)."""
+    """The connectivity lemma of `linearity`: once every one-vertex
+    restriction of an ideal is linearly presented, `n2_verdict_masks` finds
+    the ideal linearly presented exactly when its generator graph is
+    connected."""
 
     @staticmethod
     def check(n, d, indices):
@@ -341,46 +342,94 @@ class TestConnectivityLemma:
 
 
 class TestSweepTables:
-    """The sweep's tables, built once per (n, d): the generator graph of the
-    ideal at a subset index is the subgraph of `adjacent` on its bits."""
+    """The lemma by which the sweep, on its tables, decides linear
+    presentation: once every one-vertex restriction of an ideal is linearly
+    presented and m = |supp| > d + 1, the support scan reaches row m - 1,
+    the slot beta_{1,supp}, exactly when the generator graph is
+    disconnected, over every field (the `harness` module docstring)."""
 
     @staticmethod
-    def check(n, d, indices):
-        _, monomials, _, _, adjacent, _ = _sweep_tables(n, d)
+    def restrictions_pass(index, tables):
+        d, monomials, containing = tables[:3]
+        return all(n2_verdict_masks(_subset_gens(monomials, index ^ (index & c)), d)[0]
+                   for c in containing if index & c)
+
+    def check(self, n, d, indices):
+        """The outcomes (graph connected or not) seen with m > d + 1 among
+        the `indices` whose restrictions all pass `n2_verdict_masks`."""
+        tables = _sweep_tables(n, d)
+        monomials, containing = tables[1], tables[2]
         outcomes = set()
         for index in indices:
-            connected = linearity._spans(adjacent, index)
-            assert connected == oracle_graph_connected(_subset_gens(monomials, index), d), index
-            outcomes.add(connected)
+            if not self.restrictions_pass(index, tables):
+                continue
+            m = sum(1 for c in containing if index & c)
+            local = _subset_gens(monomials, twin_of(index, tables))
+            connected = oracle_graph_connected(_subset_gens(monomials, index), d)
+            for field in FIELDS:
+                reaches = _support_regularity(m, local, field, d) >= m - 1
+                assert (m > d + 1 and reaches) == (not connected), (index, field)
+            if m > d + 1:
+                outcomes.add(connected)
         return outcomes
+
+    def seeded(self, n, d, count):
+        """`count` seeded indices whose restrictions all pass, each the AND
+        of two draws: at half the monomials, a support of more than d + 1
+        vertices almost never has a disconnected graph."""
+        tables = _sweep_tables(n, d)
+        rng = random.Random(f"tables/{n}/{d}")
+        indices = []
+        while len(indices) < count:
+            index = rng.randrange(1 << math.comb(n, d)) & rng.randrange(1 << math.comb(n, d))
+            if index and self.restrictions_pass(index, tables):
+                indices.append(index)
+        return indices
 
     @pytest.mark.parametrize("n,d", [(5, 2), (5, 3)])
     def test_every_index(self, n, d):
         assert self.check(n, d, range(1, 1 << math.comb(n, d))) == {True, False}
 
     def test_seeded_6_3_indices(self):
-        rng = random.Random("tables/6/3")
-        indices = [rng.randrange(1, 1 << 20) for _ in range(500)]
-        assert self.check(6, 3, indices) == {True, False}
+        assert self.check(6, 3, self.seeded(6, 3, 500)) == {True, False}
 
-    def test_one_graph_per_n_d(self, monkeypatch):
-        calls = []
+    def test_seeded_7_2_indices(self):
+        assert self.check(7, 2, self.seeded(7, 2, 500)) == {True, False}
 
-        def counted(gens, d):
-            calls.append((len(gens), d))
-            return linearity._adjacency(gens, d)
+    @pytest.mark.parametrize("n,d,gens,value", [
+        (4, 2, [(1, 2), (3, 4)], 0),
+        (6, 3, [(1, 2, 3), (4, 5, 6)], 0),  # m = 2d: Taylor allows beta_{1,supp} up to here
+        (6, 3, [(1, 2, 3), (3, 4, 5)], 0),
+        (6, 3, [(1, 2, 3), (2, 3, 4)], 3),  # m = d + 1: beta_{1,supp} is linear
+    ])
+    def test_closed_forms(self, n, d, gens, value):
+        monomials = degree_monomial_masks(n, d)
+        index = sum(1 << monomials.index(Monomial.of(n, *g).mask) for g in gens)
+        for field in FIELDS:
+            store = full_store(monomials, d)
+            assert _linear_reg(index, store, _sweep_tables(n, d), field) == value, field
 
-        monkeypatch.setattr(harness, "_adjacency", counted)
-        _sweep_tables.cache_clear()
-        verify_range(5, 3)
-        assert calls == [(10, 3)]  # one graph on all ten monomials, no per-support one
+    def test_no_generator_graph(self):
+        """`harness` names no generator-graph helper of `linearity` and
+        keeps no graph or complement table."""
+        tree = ast.parse(pathlib.Path(harness.__file__).read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert not names & {"_adjacency", "_spans", "adjacent", "avoiding"}
+        assert len(_sweep_tables(5, 3)) == 4
 
     def test_tables_and_images_have_one_home(self):
-        """In `harness`, only `_sweep_tables` names `_adjacency`, only
-        `_index_perms` names `_image`, and only `IndexedIdeals` and
-        `open_case_search` build an ideal with `Ideal.from_masks`."""
+        """In `harness`, only `_index_perms` names `_image`, and only
+        `IndexedIdeals` and `open_case_search` build an ideal with
+        `Ideal.from_masks`."""
         tree = ast.parse(pathlib.Path(harness.__file__).read_text(encoding="utf-8"))
-        homes = {"_adjacency": set(), "_image": set(), "Ideal.from_masks": set()}
+        homes = {"_image": set(), "Ideal.from_masks": set()}
         for top in tree.body:
             for node in ast.walk(top):
                 name = (node.id if isinstance(node, ast.Name)
@@ -390,7 +439,7 @@ class TestSweepTables:
                     name = "Ideal.from_masks"
                 if name in homes:
                     homes[name].add(getattr(top, "name", top.lineno))
-        assert homes == {"_adjacency": {"_sweep_tables"}, "_image": {"_index_perms"},
+        assert homes == {"_image": {"_index_perms"},
                          "Ideal.from_masks": {"IndexedIdeals", "open_case_search"}}
 
 
@@ -519,10 +568,14 @@ class TestVerifyRange:
         ("extremal_so_far", {"extremal_so_far": []}),  # a max with no extremal ideal
         ("running_max", {"running_max": 1}),  # below d
         ("n2_count", {"n2_count": 59}),  # fewer than the 60 extremal ideals
-        ("n2_count", {"extremal_so_far": [1], "n2_count": 2,
+        ("n2_count", {"running_max": 3, "extremal_so_far": [1], "n2_count": 2,
                       "violations": [[1, 3], [2, 3], [3, 3]]}),  # fewer than the violations
         ("n2_count", {"running_max": -1, "extremal_so_far": [], "n2_count": 5}),
-        ("violations", {"violations": [[7, 3], [5, 3]]}),  # not strictly increasing
+        ("violations", {"running_max": 3,
+                        "violations": [[7, 3], [5, 3]]}),  # not strictly increasing
+        ("violations", {"violations": [[5, -7]]}),  # reg not above the bound 2
+        ("violations", {"violations": [[5, 3]]}),  # reg above the running_max 2
+        ("running_max", {"running_max": 3}),  # above the bound, and no violation has it
     ])
     def test_checkpoint_state_must_agree(self, tmp_path, key, changes):
         """A finished (4,2) checkpoint whose fields contradict each other."""
@@ -542,8 +595,9 @@ class TestVerifyRange:
                               capture_output=True, text=True, timeout=120,
                               env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:2] == [
-            "optimize 1", "raised CheckpointError: bad extremal_so_far"]
+        assert proc.stdout.split("\n")[:3] == [
+            "optimize 1", "raised CheckpointError: bad extremal_so_far",
+            "raised CheckpointError: bad violations"]
 
     @pytest.mark.parametrize("n,d,symmetry,digest", SUMMARY_SHA256)
     def test_every_written_checkpoint_loads(self, tmp_path, monkeypatch, n, d, symmetry, digest):
@@ -574,7 +628,7 @@ class TestVerifyRange:
         straight = verify_range(4, 2, chunk_size=20, checkpoint_path=str(path))
         doc = json.loads(path.read_text())
         assert doc["cursor"] == 64  # total + 1: nothing left to run
-        doc.update(extremal_so_far=[1, 63], violations=[[63, 3]])
+        doc.update(running_max=3, extremal_so_far=[1, 63], violations=[[63, 3]])
         path.write_text(json.dumps(doc))
         resumed = verify_range(4, 2, chunk_size=20, checkpoint_path=str(path), resume=True)
         assert (resumed.cursor, resumed.checked) == (straight.cursor, straight.checked)
@@ -900,8 +954,8 @@ class TestRestrictionStore:
         monkeypatch.setattr(harness, "_support_regularity", counted)
         verify_range(6, 2)
         # 19,257 scans, one per linearly presented ideal, before twins were
-        # read: now 456 twins are scanned, and 685 ideals lie below their
-        # twin, which may lie past the store's end
+        # read: now 459 twins are scanned (1,144 scans), and 685 ideals lie
+        # below their twin, which may lie past the store's end
         assert len(set(scans)) <= 500
         assert len(scans) <= 1200
 
@@ -1222,17 +1276,20 @@ from monomial_lab import harness
 path = sys.argv[1]
 harness.verify_range(4, 2, checkpoint_path=path)
 with open(path) as fh:
-    doc = json.load(fh)
-doc.update(running_max=-1, extremal_so_far=[5, 5, 3], n2_count=0)
-with open(path, "w") as fh:
-    json.dump(doc, fh)
+    finished = json.load(fh)
 print("optimize", sys.flags.optimize)
-try:
-    summary = harness.verify_range(4, 2, checkpoint_path=path, resume=True)
-except harness.CheckpointError as exc:
-    print("raised CheckpointError:", "bad extremal_so_far" if "bad extremal_so_far" in str(exc) else exc)
-else:
-    print("resumed", summary.max_reg, list(summary.extremal.indices))
+for key, changes in [
+    ("extremal_so_far", {"running_max": -1, "extremal_so_far": [5, 5, 3], "n2_count": 0}),
+    ("violations", {"violations": [[5, -7]]}),
+]:
+    with open(path, "w") as fh:
+        json.dump({**finished, **changes}, fh)
+    try:
+        summary = harness.verify_range(4, 2, checkpoint_path=path, resume=True)
+    except harness.CheckpointError as exc:
+        print("raised CheckpointError:", f"bad {key}" if f"bad {key}" in str(exc) else exc)
+    else:
+        print("resumed", summary.max_reg, list(summary.extremal.indices), summary.violations)
 """
 
 
